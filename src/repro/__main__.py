@@ -266,25 +266,24 @@ def cmd_batch(args: argparse.Namespace) -> int:
           f"phase cache: {result.cache_hits} hits / "
           f"{result.cache_misses} misses ({ratio:.0%})")
     scheduler = result.scheduler
-    if scheduler:
-        busy = scheduler["worker_busy_fraction"]
-        busy_text = ", ".join(f"{fraction:.0%}"
-                              for fraction in busy.values()) or "-"
-        print(f"scheduler: {scheduler['phase_refs']} phase refs -> "
-              f"{scheduler['unique_tasks']} tasks "
-              f"({scheduler['deduped_tasks']} deduped); "
-              f"{scheduler['computed_tasks']} computed / "
-              f"{scheduler['cache_served_tasks']} cache-served; "
-              f"{scheduler['steals']} steals; "
-              f"worker busy: {busy_text}")
-        if scheduler["retries"] or scheduler["pool_rebuilds"] \
-                or scheduler["degraded_tasks"] \
-                or scheduler["quarantined"]:
-            print(f"fault tolerance: {scheduler['retries']} retries, "
-                  f"{scheduler['pool_rebuilds']} pool rebuilds, "
-                  f"{scheduler['degraded_tasks']} tasks run degraded "
-                  f"in-process, {scheduler['quarantined']} artifacts "
-                  f"quarantined")
+    busy = scheduler["worker_busy_fraction"]
+    busy_text = ", ".join(f"{fraction:.0%}"
+                          for fraction in busy.values()) or "-"
+    print(f"scheduler: {scheduler['phase_refs']} phase refs -> "
+          f"{scheduler['unique_tasks']} tasks "
+          f"({scheduler['deduped_tasks']} deduped); "
+          f"{scheduler['computed_tasks']} computed / "
+          f"{scheduler['cache_served_tasks']} cache-served; "
+          f"{scheduler['steals']} steals; "
+          f"worker busy: {busy_text}")
+    if scheduler["retries"] or scheduler["pool_rebuilds"] \
+            or scheduler["degraded_tasks"] \
+            or scheduler["quarantined"]:
+        print(f"fault tolerance: {scheduler['retries']} retries, "
+              f"{scheduler['pool_rebuilds']} pool rebuilds, "
+              f"{scheduler['degraded_tasks']} tasks run degraded "
+              f"in-process, {scheduler['quarantined']} artifacts "
+              f"quarantined")
     if args.jsonl:
         print(f"results written to {args.jsonl}")
 
@@ -315,13 +314,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
         failures.append(f"cache hit ratio {ratio:.2%} below required "
                         f"{args.require_hit_ratio:.2%}")
     if args.min_dedup is not None:
-        deduped = scheduler["deduped_tasks"] if scheduler else 0
+        deduped = scheduler["deduped_tasks"]
         if deduped < args.min_dedup:
             failures.append(f"scheduler deduplicated {deduped} phase "
                             f"tasks, below required {args.min_dedup} "
                             f"(cross-job sharing not exercised)")
     if args.min_retries is not None:
-        retries = scheduler["retries"] if scheduler else 0
+        retries = scheduler["retries"]
         if retries < args.min_retries:
             failures.append(f"scheduler retried {retries} tasks, below "
                             f"required {args.min_retries} (fault "
@@ -512,7 +511,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "directory, shared across runs and "
                              "workers (default: in-memory only)")
     p_batch.add_argument("--no-cache", action="store_true",
-                        help="disable artifact caching entirely")
+                        help="no artifact store: nothing is kept across "
+                             "runs and rows record no cache provenance")
     p_batch.add_argument("--jsonl", default=None, metavar="PATH",
                         help="write one JSON result line per job")
     p_batch.add_argument("--golden", default=None, metavar="PATH",
@@ -534,8 +534,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         metavar="N",
                         help="fail unless the DAG scheduler "
                              "deduplicated at least N phase tasks "
-                             "(CI cross-job sharing guard; needs "
-                             "--jobs > 1 and caching enabled)")
+                             "(CI cross-job sharing guard)")
     p_batch.add_argument("--min-retries", type=int, default=None,
                         metavar="N",
                         help="fail unless the DAG scheduler retried "

@@ -10,7 +10,7 @@ result under a key that digests
 * the phase's own key material — the program's
   :meth:`~repro.isa.program.Program.content_digest` plus the exact
   phase parameters, and the keys of all upstream phases (transitive
-  invalidation; see :class:`repro.wcet.ait.PhaseRunner`).
+  invalidation; see :class:`repro.batch.scheduler._TaskContext`).
 
 On-disk layout under the cache root::
 
@@ -82,10 +82,11 @@ class ArtifactCache:
     ever touched.  Eviction only forgets the deserialised copy; the
     on-disk object (when ``root`` is set) still serves later lookups.
 
-    This class implements the phase-cache protocol of
-    :class:`repro.wcet.ait.PhaseRunner`: :meth:`key`, :meth:`lookup`,
-    :meth:`store`.  It is thread-safe: the serve layer shares one
-    instance across its worker pool.
+    This class implements the phase-cache protocol the DAG executor
+    (:class:`repro.batch.scheduler._TaskContext`) drives: :meth:`key`,
+    :meth:`fetch_or_compute`, :meth:`lookup`, :meth:`store`.  It is
+    thread-safe: the serve layer shares one instance across its worker
+    pool.
     """
 
     #: Default LRU bounds of the in-memory memo.  ``None`` disables the

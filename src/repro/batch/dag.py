@@ -13,38 +13,32 @@ with no per-group barriers.
 
 Two views of the same plan live here:
 
-* :func:`build_sweep_dag` — the *parent-side* structural view: nodes,
-  edges, dedup counts, and a deterministic ready queue.  Task identity
-  is structural (phase name + the exact inputs that feed its cache-key
+* :func:`build_sweep_dag` — the structural view: nodes, edges, dedup
+  counts, and a deterministic ready queue.  Task identity is
+  structural (phase name + the exact inputs that feed its cache-key
   material), which coincides with cache-key identity without having to
   compile or analyze anything in the parent.
-* :class:`JobPlan` — the *worker-side* executable view: the same task
-  set for one job, with the real key-material and compute functions
-  from :func:`repro.wcet.ait.phase_plan`, so DAG tasks address exactly
-  the artifacts a sequential ``analyze_workload`` run would.
+* :class:`JobPlan` — the executable view, built for every entry
+  point: the same task set for one job, with the real key-material and
+  compute functions from :func:`repro.wcet.ait.phase_plan`.
 """
 
 from __future__ import annotations
 
-import heapq
+import cProfile
+import dataclasses
+import functools
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cache.config import PIPELINE_MODELS, MachineConfig
 from ..cfg.contexts import DEFAULT_POLICY
 from ..domainimpl import resolve_domain_impl
 from ..isa.program import Program
-from ..wcet.ait import (PHASES, PhaseTask, material_loopbounds, phase_plan)
-from ..analysis.loopbounds import analyze_loop_bounds
-from ..workloads.suite import (Workload, derive_manual_bounds,
-                               get_workload)
+from ..wcet import ait
+from ..wcet.ait import PHASES, PhaseTask, material_loopbounds, phase_plan
+from ..workloads.suite import Workload, derive_manual_bounds, get_workload
 from .jobs import JobSpec, parse_policy
-
-#: The discovery prefix of the annotate workflow, in execution order.
-DISCOVERY_PHASES = ("discover:cfg", "discover:value",
-                    "discover:loopbounds", "annotate")
-
 
 class DAGCycleError(ValueError):
     """The task graph is not acyclic."""
@@ -56,29 +50,33 @@ class DAGCycleError(ValueError):
 @dataclass
 class TaskNode:
     """One schedulable task: a distinct phase artifact (or a per-job
-    row-assembly / whole-job task)."""
+    row-assembly task)."""
 
     index: int                      #: build order; doubles as priority
     identity: Tuple                 #: structural dedup identity
     label: str                      #: human-readable, e.g. "bs/full:value"
-    kind: str                       #: "phase" | "annotate" | "row" | "job"
+    kind: str                       #: "phase" | "annotate" | "row"
     spec: JobSpec                   #: a job whose plan contains the task
     template: str                   #: template name within that job's plan
     deps: List["TaskNode"] = field(default_factory=list)
     dependents: List["TaskNode"] = field(default_factory=list)
     #: Every (job index, template name) that references this node, in
-    #: sequential sweep order.  ``refs[0]`` is the canonical owner used
-    #: to attribute hit/miss provenance deterministically.
+    #: job order.  ``refs[0]`` is the canonical owner used to attribute
+    #: hit/miss provenance and timing deterministically.
     refs: List[Tuple[int, str]] = field(default_factory=list)
 
     # Runtime state, maintained by TaskDAG's scheduling methods.
-    state: str = "pending"          #: pending|ready|running|done|failed
+    state: str = "pending"          #: pending|ready|done|failed
     pending: int = 0                #: unfinished dependency count
     computed: Optional[bool] = None  #: ran compute (vs cache-served)
     seconds: float = 0.0
     worker: Optional[int] = None    #: pid of the executing worker
     finish_order: Optional[int] = None
     error: Optional[str] = None
+    #: What an in-process run produced (a row task's: the WCETResult)
+    #: or raised; pool tasks leave both ``None``.
+    value: Any = None
+    exception: Optional[BaseException] = None
 
     def __hash__(self):
         return self.index
@@ -94,20 +92,19 @@ class TaskDAG:
     existing node when the structural ``identity`` was seen before —
     that is the dedup.  :meth:`validate` rejects cycles (they cannot
     arise from :func:`build_sweep_dag`, but :meth:`add_edge` lets
-    callers — and tests — wire arbitrary graphs).  The ready queue is
-    a min-heap over node build order, so the dispatch order of
-    simultaneously-ready tasks is deterministic.
+    callers — and tests — wire arbitrary graphs).  Tasks are released
+    in build order, which the executor keeps as the dispatch priority
+    of simultaneously-ready tasks, so dispatch is deterministic.
     """
 
     def __init__(self):
         self.nodes: List[TaskNode] = []
         self._by_identity: Dict[Tuple, TaskNode] = {}
-        self._ready: List[int] = []
         self._started = False
         self._finished = 0
-        #: Total add_node references (dedup hits included), row/job
-        #: tasks excluded: the "phase executions" a sequential sweep
-        #: would issue.
+        #: Total add_node references (dedup hits included), row tasks
+        #: excluded: the "phase executions" the jobs would issue
+        #: without dedup.
         self.phase_refs = 0
 
     # -- Construction -------------------------------------------------------
@@ -181,23 +178,12 @@ class TaskDAG:
             if node.pending == 0:
                 node.state = "ready"
                 ready.append(node)
-        for node in ready:
-            heapq.heappush(self._ready, node.index)
-        return self.pop_ready(len(ready))
-
-    def pop_ready(self, limit: Optional[int] = None) -> List[TaskNode]:
-        """Pop up to ``limit`` ready tasks, lowest build index first."""
-        popped = []
-        while self._ready and (limit is None or len(popped) < limit):
-            node = self.nodes[heapq.heappop(self._ready)]
-            node.state = "running"
-            popped.append(node)
-        return popped
+        return ready
 
     def complete(self, node: TaskNode, computed: Optional[bool] = None,
                  seconds: float = 0.0,
                  worker: Optional[int] = None) -> List[TaskNode]:
-        """Mark ``node`` done; newly-ready dependents join the queue."""
+        """Mark ``node`` done; returns the newly-ready dependents."""
         node.state = "done"
         node.computed = computed
         node.seconds = seconds
@@ -209,7 +195,6 @@ class TaskDAG:
             dependent.pending -= 1
             if dependent.pending == 0 and dependent.state == "pending":
                 dependent.state = "ready"
-                heapq.heappush(self._ready, dependent.index)
                 released.append(dependent)
         return released
 
@@ -242,13 +227,17 @@ class SweepDAG:
 
     jobs: List[JobSpec]
     dag: TaskDAG
-    #: Per job: the row-assembly (or whole-job) node, or ``None`` when
-    #: the job failed to plan (unknown workload/policy/model).
+    #: Per job: the row-assembly node, or ``None`` when the job failed
+    #: to plan or its plan stops short of a full pipeline.
     row_nodes: List[Optional[TaskNode]]
-    #: Per job: template name -> main-chain phase node.
+    #: Per job: template name -> node, ``"row"`` included.
     job_phase_nodes: List[Dict[str, TaskNode]]
     #: job index -> plan-time error message.
     build_errors: Dict[int, str]
+    #: Whether rows record cache provenance (``False``: no store).
+    use_cache: bool = True
+    #: In-process callers' plans, one per job (else rebuilt from specs).
+    plans: Optional[List["JobPlan"]] = None
 
     def stats(self) -> Dict[str, int]:
         return {"phase_refs": self.dag.phase_refs,
@@ -258,14 +247,18 @@ class SweepDAG:
     def row_events(self, job_index: int) -> Dict[str, str]:
         """Deterministic per-phase cache provenance for one job's row.
 
-        Mirrors what a *sequential* sweep records: a phase is a "miss"
-        exactly when this job's main-chain reference is the task's
-        first reference in sweep order AND the task actually computed
+        Mirrors what running the jobs one after another records: a
+        phase is a "miss" exactly when this job's main-chain reference
+        is the task's first reference in job order AND the task
+        actually computed
         (rather than being served from a pre-existing store), and a
         "hit" otherwise.  Scheduling order cannot change it, so rows
-        are byte-identical at any worker count.
+        are byte-identical at any worker count.  Without a store there
+        is no provenance to record.
         """
-        events = {}
+        events: Dict[str, str] = {}
+        if not self.use_cache:
+            return events
         for phase in PHASES:
             node = self.job_phase_nodes[job_index].get(phase)
             if node is None:
@@ -274,31 +267,50 @@ class SweepDAG:
             events[phase] = "miss" if owns and node.computed else "hit"
         return events
 
+    def row_timing(self, job_index: int) -> Tuple[Dict[str, float], float]:
+        """One job's ``(phase_seconds, wall_seconds)``: per phase the
+        seconds of the task that produced its artifact, and the sum
+        over the tasks the job owns (``refs[0]``, discovery prefix
+        included)."""
+        nodes = self.job_phase_nodes[job_index]
+        owned = {node.index: node.seconds
+                 for template, node in nodes.items()
+                 if template != "row" and node.refs[0][0] == job_index}
+        return ({phase: nodes[phase].seconds for phase in PHASES},
+                sum(owned.values()))
 
-def _job_identities(workload: Workload, policy_desc: str, model: str,
-                    impl: str) -> List[Tuple[str, Tuple, Tuple[str, ...]]]:
+    def artifact(self, job_index: int, template: str) -> Any:
+        """What an in-process run produced for one job's template
+        (``"row"``: the job's WCETResult)."""
+        return self.job_phase_nodes[job_index][template].value
+
+
+def _job_identities(name: str, policy_desc: str, model: str, impl: str,
+                    annotated: bool, share_discovery: bool = True
+                    ) -> List[Tuple[str, Tuple, Tuple[str, ...]]]:
     """The (template, identity, dep templates) triples of one job's
-    plan, in sequential execution order.
+    plan, in execution order.
 
     The identity tuples are chosen so that two templates coincide
     exactly when their cache-key materials would: every input that
     feeds the material either appears in the tuple or is a pure
     function of an input that does (e.g. a workload's memory-range
-    annotations are derived from its name).
+    annotations are derived from its name).  A caller's own plan may
+    run its main chain with non-default parameters, so
+    ``share_discovery=False`` keeps its discovery prefix apart.
     """
-    name = workload.name
-    annotated = bool(workload.manual_bounds_in_order)
     full_desc = DEFAULT_POLICY.describe()
+    scope = name if share_discovery else ("discover", name)
     entries: List[Tuple[str, Tuple, Tuple[str, ...]]] = []
     if annotated:
         entries += [
-            ("discover:cfg", ("cfg", name, full_desc), ()),
-            ("discover:value", ("value", name, full_desc, impl),
+            ("discover:cfg", ("cfg", scope, full_desc), ()),
+            ("discover:value", ("value", scope, full_desc, impl),
              ("discover:cfg",)),
             ("discover:loopbounds",
-             ("loopbounds", name, full_desc, impl, False),
+             ("loopbounds", scope, full_desc, impl, False),
              ("discover:value",)),
-            ("annotate", ("annotate", name, impl),
+            ("annotate", ("annotate", scope, impl),
              ("discover:loopbounds",)),
         ]
     entries += [
@@ -319,15 +331,17 @@ def _job_identities(workload: Workload, policy_desc: str, model: str,
 
 
 def build_sweep_dag(jobs: Sequence[JobSpec], use_cache: bool = True,
-                    domain_impl: Optional[str] = None) -> SweepDAG:
+                    domain_impl: Optional[str] = None,
+                    plans: Optional[Sequence["JobPlan"]] = None
+                    ) -> SweepDAG:
     """Expand a job list into the deduplicated phase-task DAG.
 
-    With ``use_cache=False`` there is no artifact transport between
-    tasks, so each job degrades to a single whole-job node (still
-    pool-scheduled, just without cross-job sharing).  Jobs that cannot
-    be planned (unknown workload, bad policy/model token) become
-    ``build_errors`` entries instead of raising, so one bad point
-    cannot take down a sweep.
+    ``use_cache=False`` only stops rows from recording cache
+    provenance.  Jobs that cannot be planned (unknown workload, bad
+    policy/model token) become ``build_errors`` entries instead of
+    raising, so one bad point cannot take down a sweep.  ``plans`` (one
+    per job) are in-process callers' own plans; they share tasks across
+    policies and models only, so must agree on all else.
     """
     impl = resolve_domain_impl(domain_impl)
     dag = TaskDAG()
@@ -336,124 +350,125 @@ def build_sweep_dag(jobs: Sequence[JobSpec], use_cache: bool = True,
     build_errors: Dict[int, str] = {}
     for job_index, spec in enumerate(jobs):
         job_phase_nodes.append({})
-        if not use_cache:
-            row_nodes.append(dag.add_node(
-                ("job", job_index), f"{spec.job_id}:job", "job", spec,
-                "job", (), job_index))
-            continue
-        try:
-            workload = get_workload(spec.workload)
-            policy_desc = parse_policy(spec.policy).describe()
-            if spec.model not in PIPELINE_MODELS:
-                raise ValueError(
-                    f"unknown pipeline model {spec.model!r}")
-        except Exception as exc:
-            build_errors[job_index] = f"{type(exc).__name__}: {exc}"
-            row_nodes.append(None)
-            continue
+        if plans is not None:
+            plan = plans[job_index]
+            entries = [entry for entry in _job_identities(
+                spec.workload, plan.policy_desc, plan.config.pipeline_model,
+                plan.domain_impl, plan.annotated, share_discovery=False)
+                if entry[0] in plan.templates]
+        else:
+            try:
+                workload = get_workload(spec.workload)
+                policy_desc = parse_policy(spec.policy).describe()
+                if spec.model not in PIPELINE_MODELS:
+                    raise ValueError(
+                        f"unknown pipeline model {spec.model!r}")
+            except Exception as exc:
+                build_errors[job_index] = f"{type(exc).__name__}: {exc}"
+                row_nodes.append(None)
+                continue
+            entries = _job_identities(
+                spec.workload, policy_desc, spec.model, impl,
+                bool(workload.manual_bounds_in_order))
         by_template: Dict[str, TaskNode] = {}
-        for template, identity, dep_names in _job_identities(
-                workload, policy_desc, spec.model, impl):
+        for template, identity, dep_names in entries:
             kind = "annotate" if template == "annotate" else "phase"
-            node = dag.add_node(
+            by_template[template] = dag.add_node(
                 identity, f"{spec.workload}/{spec.policy}:{template}",
                 kind, spec, template,
                 [by_template[dep] for dep in dep_names], job_index)
-            by_template[template] = node
-        job_phase_nodes[job_index] = {phase: by_template[phase]
-                                      for phase in PHASES}
-        row_nodes.append(dag.add_node(
-            ("row", job_index), f"{spec.job_id}:row", "row", spec,
-            "row", [by_template[phase] for phase in PHASES], job_index))
+        row = None
+        if all(phase in by_template for phase in PHASES):
+            row = by_template["row"] = dag.add_node(
+                ("row", job_index), f"{spec.job_id}:row", "row", spec,
+                "row", [by_template[phase] for phase in PHASES],
+                job_index)
+        row_nodes.append(row)
+        job_phase_nodes[job_index] = by_template
     return SweepDAG(list(jobs), dag, row_nodes, job_phase_nodes,
-                    build_errors)
+                    build_errors, use_cache,
+                    list(plans) if plans is not None else None)
 
 
-# -- Worker-side executable plans ------------------------------------------------
+# -- Executable plans -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExecTemplate:
-    """Executable form of one task template: key material from dep
-    keys (plus, for the annotated loop-bound phase, small dep
-    *values*), and the compute function over dep artifacts."""
-
-    name: str
-    deps: Tuple[str, ...]
-    #: (dep template -> key, fetch(dep template) -> artifact) -> material
-    material: Callable[[Mapping[str, str], Callable[[str], Any]], str]
-    compute: Callable[[Mapping[str, Any]], Any]
-
-
-def _wrap_phase(template: str, prefix: str, task: PhaseTask
-                ) -> ExecTemplate:
-    deps = tuple(prefix + dep for dep in task.deps)
-
-    def material(keys, fetch):
-        return task.material({dep: keys[prefix + dep]
-                              for dep in task.deps})
-
-    def compute(dep_values):
-        return task.compute({dep: dep_values[prefix + dep]
-                             for dep in task.deps})
-
-    return ExecTemplate(template, deps, material, compute)
+def _prefixed(task: PhaseTask, prefix: str) -> PhaseTask:
+    """``task`` renamed into the ``prefix`` template namespace (the
+    discovery prefix of the annotate workflow)."""
+    return PhaseTask(
+        prefix + task.name, tuple(prefix + dep for dep in task.deps),
+        lambda keys, fetch: task.material(
+            {dep: keys[prefix + dep] for dep in task.deps}, fetch),
+        lambda deps: task.compute(
+            {dep: deps[prefix + dep] for dep in task.deps}))
 
 
 class JobPlan:
-    """Worker-side plan of one job: every template of
-    :func:`_job_identities`, with real materials and computes.
+    """One job's executable plan: every template of
+    :func:`_job_identities` as a :class:`~repro.wcet.ait.PhaseTask`.
 
-    Materials are built from the exact same
-    :func:`repro.wcet.ait.phase_plan` descriptors the sequential
-    pipeline runs, so DAG-computed artifacts live under the same cache
-    keys a plain ``analyze_workload`` would read and write.
+    ``options`` are the :func:`repro.wcet.ait.phase_plan` arguments.
+    An annotated ``workload`` adds the default-parameter
+    discover-then-annotate prefix; the main loop-bound phase then takes
+    its manual mapping from the never-stored ``annotate`` template.
+    ``phases`` truncates the main chain; ``spec`` labels the job.
     """
 
-    def __init__(self, spec: JobSpec, program: Program,
-                 domain_impl: Optional[str] = None):
-        self.spec = spec
+    def __init__(self, program: Program,
+                 workload: Optional[Workload] = None,
+                 spec: Optional[JobSpec] = None,
+                 phases: Sequence[str] = PHASES, **options):
         self.program = program
-        self.workload = get_workload(spec.workload)
-        self.config = MachineConfig.default().with_model(spec.model)
-        memory_ranges = self.workload.memory_ranges(program)
-        annotated = bool(self.workload.manual_bounds_in_order)
-        self.templates: Dict[str, ExecTemplate] = {}
+        config = options.get("config") or MachineConfig.default()
+        if options.get("pipeline_model") is not None:
+            config = config.with_model(options["pipeline_model"])
+        impl = options.get("domain_impl")
+        self.config = config
+        self.domain_impl = resolve_domain_impl(
+            impl if impl is not None else config.domain_impl)
+        self.policy_desc = (options.get("context_policy")
+                            or DEFAULT_POLICY).describe()
+        self.annotated = bool(workload is not None
+                              and workload.manual_bounds_in_order)
+        self.spec = spec or JobSpec(
+            workload.name if workload is not None else "program",
+            self.policy_desc, config.pipeline_model)
+        #: Per-phase ``cProfile.Profile`` objects (see :meth:`profile`).
+        self.profiles: Dict[str, object] = {}
+        options.update(config=config, domain_impl=self.domain_impl)
 
-        if annotated:
-            discovery = phase_plan(program, memory_ranges=memory_ranges,
-                                   domain_impl=domain_impl)
-            for task in discovery[:3]:          # cfg, value, loopbounds
-                template = _wrap_phase("discover:" + task.name,
-                                       "discover:", task)
-                self.templates[template.name] = template
-            order = ",".join(str(bound) for bound
-                             in self.workload.manual_bounds_in_order)
-            self.templates["annotate"] = ExecTemplate(
-                "annotate", ("discover:loopbounds",),
-                lambda keys, fetch:
-                    f"annotate|{keys['discover:loopbounds']}"
-                    f"|order={order}",
+        tasks: List[PhaseTask] = []
+        if self.annotated:
+            discovery = phase_plan(program,
+                                   memory_ranges=options.get("memory_ranges"),
+                                   domain_impl=self.domain_impl)
+            tasks += [_prefixed(task, "discover:") for task in discovery[:3]]
+            tasks.append(PhaseTask(
+                "annotate", ("discover:loopbounds",), None,
                 lambda deps: derive_manual_bounds(
-                    self.workload, deps["discover:loopbounds"]))
-
-        main = phase_plan(program, manual_loop_bounds={},
-                          context_policy=spec.policy_object(),
-                          pipeline_model=spec.model,
-                          memory_ranges=memory_ranges,
-                          domain_impl=domain_impl)
-        for task in main:
-            if task.name == "loopbounds" and annotated:
-                # The manual mapping is the annotate task's artifact;
-                # the material embeds its *value* (small), reproducing
-                # byte-for-byte the key a sequential run derives after
-                # its in-process discovery pass.
-                self.templates["loopbounds"] = ExecTemplate(
+                    workload, deps["discover:loopbounds"])))
+        for task in phase_plan(program, **options):
+            if task.name == "loopbounds" and self.annotated:
+                # The material embeds the annotate *value* (small),
+                # reproducing the key a plain analyze_wcet call with
+                # the derived annotations would use.
+                task = PhaseTask(
                     "loopbounds", ("value", "annotate"),
                     lambda keys, fetch: material_loopbounds(
                         keys["value"], fetch("annotate")),
-                    lambda deps: analyze_loop_bounds(deps["value"],
-                                                     deps["annotate"]))
-            else:
-                template = _wrap_phase(task.name, "", task)
-                self.templates[template.name] = template
+                    lambda deps: ait.analyze_loop_bounds(
+                        deps["value"], deps["annotate"]))
+            if task.name in phases:
+                tasks.append(task)
+        self.templates: Dict[str, PhaseTask] = {task.name: task
+                                                for task in tasks}
+
+    def profile(self) -> None:
+        """Run every template's compute under ``cProfile``, collecting
+        the profilers in :attr:`profiles`."""
+        for name, task in self.templates.items():
+            profiler = self.profiles[name] = cProfile.Profile()
+            self.templates[name] = dataclasses.replace(
+                task, compute=functools.partial(profiler.runcall,
+                                                task.compute))

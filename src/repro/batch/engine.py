@@ -1,14 +1,15 @@
 """Parallel sweep engine over the WCET analysis matrix.
 
 :func:`run_sweep` executes a list of :class:`~repro.batch.jobs.JobSpec`
-points — sequentially, or as a deduplicated phase-task DAG on a worker
-pool (:mod:`repro.batch.dag` + :mod:`repro.batch.scheduler`) — and
-returns their results in *job order* regardless of completion order,
-so sweep output is deterministic under any ``--jobs`` setting.  Each
-job runs the full aiT pipeline through the phase-level artifact cache
+points as a deduplicated phase-task DAG (:mod:`repro.batch.dag`) on
+the one executor (:mod:`repro.batch.scheduler`) — in-process at
+``--jobs 1``, on a worker pool above — and returns their results in
+*job order* regardless of completion order, so sweep output is
+deterministic under any ``--jobs`` setting.  Each job runs the full
+aiT pipeline through the phase-level artifact cache
 (:mod:`repro.batch.cachestore`), and its result row records the bound,
-per-phase wall clock, solver work counters, cache classification
-counts, and the cache hit/miss provenance of every phase.
+per-phase seconds, solver work counters, cache classification counts,
+and the cache hit/miss provenance of every phase.
 
 Rows are plain JSON-able dicts; :meth:`SweepResult.write_jsonl` emits
 them as JSON lines, one job per line, in job order.
@@ -20,128 +21,12 @@ import json
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..isa.program import Program
-from ..wcet.ait import WCETResult
-from ..workloads.suite import analyze_workload, get_workload
 from . import scheduler as dag_scheduler
-from .cachestore import ArtifactCache, code_version_salt
+from .cachestore import ArtifactCache
 from .dag import build_sweep_dag
 from .jobs import JobSpec
-
-#: Per-process memo of compiled workload binaries: a sweep analyses the
-#: same workload under several (policy, model) points, and compilation
-#: is identical for all of them.
-_PROGRAM_MEMO: Dict[str, Program] = {}
-
-#: Per-process artifact cache, keyed by (root, salt, limit) so pool
-#: workers reuse one cache (and its in-memory object memo) across
-#: their jobs.
-_CACHE_MEMO: Dict[Tuple[Optional[str], Optional[str], Optional[int]],
-                  ArtifactCache] = {}
-
-
-def clear_process_caches() -> None:
-    """Drop this process's compiled-program and artifact-cache memos.
-
-    Benchmark harnesses call this between measured sweeps so a "cold"
-    run really is cold, and so artifacts of deleted temporary cache
-    directories don't stay pinned in memory for the process lifetime.
-    """
-    _PROGRAM_MEMO.clear()
-    _CACHE_MEMO.clear()
-    dag_scheduler.clear_worker_caches()
-
-
-def _process_cache(cache_dir: Optional[str], salt: Optional[str],
-                   use_cache: bool,
-                   limit_bytes: Optional[int] = None
-                   ) -> Optional[ArtifactCache]:
-    if not use_cache:
-        return None
-    # Normalize before keying: salt=None means code_version_salt(), so
-    # passing the default explicitly must address the same cache (and
-    # the same hit/miss stats), not build a twin with a split memo.
-    salt = salt if salt is not None else code_version_salt()
-    memo_key = (cache_dir, salt, limit_bytes)
-    cache = _CACHE_MEMO.get(memo_key)
-    if cache is None:
-        cache = ArtifactCache(cache_dir, salt=salt,
-                              limit_bytes=limit_bytes)
-        _CACHE_MEMO[memo_key] = cache
-    return cache
-
-
-def _classification_counts(result) -> Dict[str, int]:
-    stats = result.stats
-    return {"always_hit": stats.always_hit,
-            "always_miss": stats.always_miss,
-            "persistent": stats.persistent,
-            "not_classified": stats.not_classified}
-
-
-def _result_row(spec: JobSpec, result: WCETResult,
-                wall_seconds: float,
-                compile_seconds: float = 0.0) -> dict:
-    hits = sum(1 for event in result.cache_events.values()
-               if event == "hit")
-    misses = sum(1 for event in result.cache_events.values()
-                 if event == "miss")
-    return {
-        "workload": spec.workload,
-        "policy": spec.policy,
-        "model": spec.model,
-        "wcet_cycles": result.wcet_cycles,
-        "lp_bound": result.path.lp_bound,
-        "integral": result.path.integral,
-        "graph": {"nodes": result.graph.node_count(),
-                  "edges": result.graph.edge_count(),
-                  "contexts": len(result.graph.contexts())},
-        "icache": _classification_counts(result.icache),
-        "dcache": _classification_counts(result.dcache),
-        "solver_stats": {name: stats.as_dict()
-                         for name, stats in result.solver_stats.items()},
-        "phase_seconds": {phase: round(seconds, 6)
-                          for phase, seconds
-                          in result.phase_seconds.items()},
-        "wall_seconds": round(wall_seconds, 6),
-        "compile_seconds": round(compile_seconds, 6),
-        "cache": {"events": dict(result.cache_events),
-                  "hits": hits, "misses": misses},
-    }
-
-
-def run_job(spec: JobSpec, cache: Optional[ArtifactCache]) -> dict:
-    """Run one matrix point and return its JSON-able result row.
-
-    Compilation happens *outside* the analysis timer: the compiled
-    binary is memoised per workload, so charging it to whichever
-    (policy, model) point happens to arrive first would inflate that
-    row's ``wall_seconds`` nondeterministically.  The row reports it
-    separately as ``compile_seconds`` (0.0 on a memo hit).
-    """
-    workload = get_workload(spec.workload)
-    program = _PROGRAM_MEMO.get(spec.workload)
-    compile_seconds = 0.0
-    if program is None:
-        compile_start = time.perf_counter()
-        program = workload.compile()
-        compile_seconds = time.perf_counter() - compile_start
-        _PROGRAM_MEMO[spec.workload] = program
-    start = time.perf_counter()
-    result = analyze_workload(workload, program=program,
-                              context_policy=spec.policy_object(),
-                              pipeline_model=spec.model,
-                              phase_cache=cache)
-    return _result_row(spec, result, time.perf_counter() - start,
-                       compile_seconds=compile_seconds)
-
-
-def _error_row(spec: JobSpec, exc: Exception) -> dict:
-    return {"workload": spec.workload, "policy": spec.policy,
-            "model": spec.model,
-            "error": f"{type(exc).__name__}: {exc}"}
 
 
 @dataclass
@@ -155,7 +40,7 @@ class SweepResult:
     cache_dir: Optional[str] = None
     used_cache: bool = True
     errors: List[str] = field(default_factory=list)
-    #: DAG scheduler statistics (parallel sweeps only):
+    #: DAG scheduler statistics:
     #: :meth:`repro.batch.scheduler.SchedulerStats.as_dict`.
     scheduler: Optional[dict] = None
 
@@ -197,16 +82,19 @@ def run_sweep(jobs: List[JobSpec],
               dag_scheduler.DEFAULT_POOL_REBUILDS) -> SweepResult:
     """Run every job of the sweep and collect rows in job order.
 
-    ``parallel`` > 1 schedules the sweep as a deduplicated phase-task
-    DAG (:func:`repro.batch.dag.build_sweep_dag`) on a persistent
-    worker pool: one task per distinct phase cache key across all
-    jobs, handed out as dependencies complete.  Workers exchange
-    artifacts through the shared content-addressed store — a given
-    ``cache_dir``, or a temporary spill directory when none is given
-    (so an anonymous parallel sweep still starts cold, like the
-    sequential in-memory cache).  With ``use_cache=False`` there are
-    no addressable artifacts to share, so each job becomes one pool
-    task.  ``salt`` overrides the code-version salt (tests only).
+    The sweep is one deduplicated phase-task DAG
+    (:func:`repro.batch.dag.build_sweep_dag`): one task per distinct
+    phase cache key across all jobs, handed out as dependencies
+    complete.  ``parallel`` <= 1 runs it in-process on the store at
+    ``cache_dir`` (default: an in-memory one); above, on a persistent
+    worker pool whose workers exchange artifacts through the shared
+    content-addressed store — a given ``cache_dir``, or a temporary
+    spill directory when none is given (so an anonymous parallel sweep
+    still starts cold, like the in-memory store).  ``use_cache=False``
+    means no store: in-process nothing is keyed or stored, the pool
+    exchanges artifacts through a temporary spill directory, and rows
+    record no cache provenance.  ``salt`` overrides the code-version
+    salt (tests only).
     ``cache_limit_mb`` bounds the on-disk store: after each write the
     least-recently-used objects are evicted until the store fits;
     workers treat objects evicted under them as misses and recompute.
@@ -218,34 +106,24 @@ def run_sweep(jobs: List[JobSpec],
     start = time.perf_counter()
     limit_bytes = int(cache_limit_mb * 1024 * 1024) \
         if cache_limit_mb is not None else None
-    scheduler_stats = None
+    sweep_dag = build_sweep_dag(jobs, use_cache=use_cache)
+    store = spill = None
+    store_dir = cache_dir if use_cache else None
     if parallel <= 1:
-        rows: List[Optional[dict]] = [None] * len(jobs)
-        cache = _process_cache(cache_dir, salt, use_cache, limit_bytes) \
-            if cache_dir is not None else \
-            (ArtifactCache(None, salt=salt) if use_cache else None)
-        for index, spec in enumerate(jobs):
-            try:
-                rows[index] = run_job(spec, cache)
-            except Exception as exc:
-                rows[index] = _error_row(spec, exc)
-    else:
-        sweep_dag = build_sweep_dag(jobs, use_cache=use_cache)
-        spill = None
-        store_dir = cache_dir
         if use_cache and store_dir is None:
-            spill = tempfile.TemporaryDirectory(prefix="repro-dag-")
-            store_dir = spill.name
-        try:
-            rows, stats = dag_scheduler.run_dag(
-                sweep_dag, parallel=parallel, cache_dir=store_dir,
-                salt=salt, limit_bytes=limit_bytes,
-                max_task_retries=max_task_retries,
-                max_pool_rebuilds=max_pool_rebuilds)
-        finally:
-            if spill is not None:
-                spill.cleanup()
-        scheduler_stats = stats.as_dict()
+            store = ArtifactCache(None, salt=salt)
+    elif store_dir is None:
+        spill = tempfile.TemporaryDirectory(prefix="repro-dag-")
+        store_dir = spill.name
+    try:
+        rows, stats = dag_scheduler.run_dag(
+            sweep_dag, parallel=parallel, cache_dir=store_dir,
+            salt=salt, limit_bytes=limit_bytes,
+            max_task_retries=max_task_retries,
+            max_pool_rebuilds=max_pool_rebuilds, store=store)
+    finally:
+        if spill is not None:
+            spill.cleanup()
 
     errors = [f"{row['workload']}/{row['policy']}/{row['model']}: "
               f"{row['error']}" for row in rows if "error" in row]
@@ -253,7 +131,7 @@ def run_sweep(jobs: List[JobSpec],
                          wall_seconds=time.perf_counter() - start,
                          parallel=parallel, cache_dir=cache_dir,
                          used_cache=use_cache, errors=errors,
-                         scheduler=scheduler_stats)
+                         scheduler=stats.as_dict())
     if jsonl_path:
         result.write_jsonl(jsonl_path)
     return result

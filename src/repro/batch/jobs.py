@@ -105,9 +105,9 @@ def expand_matrix(spec: str = "all:all:all") -> List[JobSpec]:
 
     Ordering is deterministic — workloads outermost (sorted when
     ``all``), then policies, then models — and models iterate
-    innermost deliberately: in a sequential cold sweep each (workload,
-    policy) pair then computes its task graph, value, loop-bound, and
-    cache artifacts once and serves the second model from the cache.
+    innermost deliberately: each (workload, policy) pair's first model
+    then owns (computes, and is charged for) its task graph, value,
+    loop-bound, and cache artifacts, which the second model shares.
     """
     parts = spec.split(":")
     if len(parts) > 3:

@@ -1,25 +1,32 @@
-"""Worker-pool executor for the sweep phase-task DAG.
+"""The phase-DAG executor behind every entry point.
 
-:func:`run_dag` drains a :class:`~repro.batch.dag.SweepDAG` on a
-persistent :class:`~concurrent.futures.ProcessPoolExecutor`: every
-worker serves tasks from one shared ready queue (work stealing falls
-out — an idle worker takes whatever became ready, whether or not it
-computed the upstream artifacts), tasks are handed out the moment
-their dependencies complete, and there are no per-group barriers.
-Artifacts travel between workers through the shared content-addressed
-store (:mod:`repro.batch.cachestore`); a vanished object — e.g. an
-eviction by a concurrent worker under ``--cache-limit-mb`` — is
-treated as a miss and recomputed transitively, never raised.
+:func:`run_dag` drains a :class:`~repro.batch.dag.SweepDAG` — a sweep
+(``repro batch``), one ``analyze_wcet``/``analyze_workload`` call, or
+one ``repro serve`` request — on the backend ``parallel`` selects:
+
+* ``parallel <= 1``: the *inline* backend runs the tasks in the
+  calling process, lowest build index first, on the callers' own
+  plans; it hands the artifacts it holds to dependents instead of
+  reading them back from the store, and without a store derives no
+  keys and pickles nothing.
+* ``parallel > 1``: a persistent
+  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers serve
+  one shared ready queue (work stealing falls out), with tasks handed
+  out the moment their dependencies complete and no per-group
+  barriers.  Workers rebuild plans from job specs and exchange
+  artifacts through the shared content-addressed store
+  (:mod:`repro.batch.cachestore`); a vanished object — e.g. an
+  eviction under ``--cache-limit-mb`` — is a miss and recomputed
+  transitively, never raised.
 
 Failure handling is *healing*, not aborting: a task that errors is
 retried with exponential backoff up to a per-task budget before its
 transitive dependents fail into error rows; a dead worker
 (``BrokenProcessPool``) triggers a bounded number of pool *rebuilds*
 with the in-flight tasks resubmitted; and once the rebuild budget is
-spent the scheduler degrades to in-process sequential execution of
-the remaining ready queue — slower, but every row still completes
-with bit-identical bounds.  The retry/rebuild/degraded counters land
-in :class:`SchedulerStats`.
+spent the remaining schedule degrades to the inline backend — slower,
+but every row still completes with bit-identical bounds.  The
+retry/rebuild/degraded counters land in :class:`SchedulerStats`.
 """
 
 from __future__ import annotations
@@ -29,19 +36,20 @@ import heapq
 import itertools
 import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import faults
 from ..domainimpl import resolve_domain_impl
 from ..isa.program import Program
-from ..wcet.ait import PHASES, build_wcet_result
+from ..wcet.ait import PHASES, WCETResult, build_wcet_result
 from ..workloads.suite import get_workload
 from .cachestore import ArtifactCache, code_version_salt
-from .dag import JobPlan, SweepDAG, TaskNode
+from .dag import JobPlan, SweepDAG, TaskNode, build_sweep_dag
 from .jobs import JobSpec
 
 #: Default fault-tolerance budgets: how often one task may fail before
@@ -52,11 +60,20 @@ DEFAULT_TASK_RETRIES = 2
 DEFAULT_POOL_REBUILDS = 3
 DEFAULT_RETRY_BACKOFF = 0.05
 
-# -- Worker-side state -----------------------------------------------------------
+
+class JobCancelled(Exception):
+    """The run's cancel event fired between tasks."""
+
+
+class JobTimeout(Exception):
+    """The run's wall-clock deadline expired."""
+
+
+# -- Per-process state -----------------------------------------------------------
 #
-# Module-level memos live in each pool worker (fork workers inherit the
-# parent's — empty at sweep start — copies): compiled binaries and
-# executable job plans are reused across all tasks a worker serves.
+# Module-level memos live in each process that runs sweep tasks (fork
+# workers inherit the parent's): compiled binaries, executable job
+# plans and artifact caches are reused across all its tasks.
 
 _PROGRAM_MEMO: Dict[str, Program] = {}
 _PLAN_MEMO: Dict[Tuple[str, str, str, Optional[str]], JobPlan] = {}
@@ -64,9 +81,14 @@ _CACHE_MEMO: Dict[Tuple[Optional[str], Optional[str], Optional[int]],
                   ArtifactCache] = {}
 
 
-def clear_worker_caches() -> None:
-    """Drop this process's plan/program/cache memos (benchmark cold
-    runs; see :func:`repro.batch.engine.clear_process_caches`)."""
+def clear_process_caches() -> None:
+    """Drop this process's compiled-program, plan and artifact-cache
+    memos.
+
+    Benchmark harnesses call this between measured sweeps so a "cold"
+    run really is cold, and so artifacts of deleted temporary cache
+    directories don't stay pinned in memory for the process lifetime.
+    """
     _PROGRAM_MEMO.clear()
     _PLAN_MEMO.clear()
     _CACHE_MEMO.clear()
@@ -74,8 +96,9 @@ def clear_worker_caches() -> None:
 
 def _worker_cache(cache_dir: Optional[str], salt: Optional[str],
                   limit_bytes: Optional[int]) -> ArtifactCache:
-    # Same normalization as engine._process_cache: the default salt
-    # passed explicitly must not build a second cache instance.
+    # Normalize before keying: salt=None means code_version_salt(), so
+    # passing the default explicitly must address the same cache (and
+    # the same hit/miss stats), not build a twin with a split memo.
     salt = salt if salt is not None else code_version_salt()
     memo_key = (cache_dir, salt, limit_bytes)
     cache = _CACHE_MEMO.get(memo_key)
@@ -86,67 +109,131 @@ def _worker_cache(cache_dir: Optional[str], salt: Optional[str],
     return cache
 
 
-def _plan_for(spec: JobSpec, domain_impl: Optional[str]) -> JobPlan:
+def _plan_for(spec: JobSpec,
+              domain_impl: Optional[str]) -> Tuple[JobPlan, float]:
+    """The memoised plan of one sweep job, and the seconds this call
+    spent compiling its program (0.0 when the binary was memoised)."""
     memo_key = (spec.workload, spec.policy, spec.model, domain_impl)
     plan = _PLAN_MEMO.get(memo_key)
+    compile_seconds = 0.0
     if plan is None:
+        workload = get_workload(spec.workload)
         program = _PROGRAM_MEMO.get(spec.workload)
         if program is None:
-            program = get_workload(spec.workload).compile()
-            _PROGRAM_MEMO[spec.workload] = program
-        plan = JobPlan(spec, program, domain_impl)
-        _PLAN_MEMO[memo_key] = plan
-    return plan
+            start = time.perf_counter()
+            program = _PROGRAM_MEMO[spec.workload] = workload.compile()
+            compile_seconds = time.perf_counter() - start
+        plan = _PLAN_MEMO[memo_key] = JobPlan(
+            program, workload, spec, manual_loop_bounds={},
+            context_policy=spec.policy_object(), pipeline_model=spec.model,
+            memory_ranges=workload.memory_ranges(program),
+            domain_impl=domain_impl)
+    return plan, compile_seconds
 
 
 class _TaskContext:
-    """Key and artifact resolution for one task execution.
+    """Key and artifact resolution for one job's plan: the only code
+    that chains keys or resolves artifacts.
 
-    Keys are derived from dependency keys exactly as the sequential
-    :class:`~repro.wcet.ait.PhaseRunner` chains them.  Artifact
-    resolution is *self-healing*: a dependency artifact that should be
+    Keys are derived from dependency keys, and only with a store.
+    Artifacts come from the inline backend's finished ``nodes`` (template
+    -> :class:`~repro.batch.dag.TaskNode`), else from the store.
+    Resolution is *self-healing*: a dependency artifact that should be
     in the store but is not (evicted under ``--cache-limit-mb``, or a
     corrupt object) is recomputed transitively instead of raising —
     the eviction race degrades to redundant work, never to a failure.
     """
 
-    def __init__(self, plan: JobPlan, cache: ArtifactCache):
+    def __init__(self, plan: JobPlan, cache: Optional[ArtifactCache],
+                 nodes: Optional[Dict[str, TaskNode]] = None):
         self.plan = plan
         self.cache = cache
+        self.nodes = nodes or {}
         self._keys: Dict[str, str] = {}
 
     def key_of(self, template: str) -> str:
         key = self._keys.get(template)
         if key is None:
-            spec = self.plan.templates[template]
-            dep_keys = {dep: self.key_of(dep) for dep in spec.deps}
-            key = self.cache.key(spec.material(dep_keys, self.value_of))
+            task = self.plan.templates[template]
+            dep_keys = {dep: self.key_of(dep) for dep in task.deps
+                        if self.plan.templates[dep].material is not None}
+            key = self.cache.key(task.material(dep_keys, self.value_of))
             self._keys[template] = key
         return key
 
-    def ensure(self, template: str) -> bool:
-        """Make the template's artifact addressable in the store;
-        return whether this call computed it.
+    def ensure(self, template: str) -> Tuple[Any, bool]:
+        """The template's artifact, and whether this call computed it.
 
         Routed through the cache's single-flight latch: when two
         threads (e.g. concurrent identical ``repro serve`` requests
         sharing one in-process cache) race on the same key, one
         computes and the other blocks on its latch — dedup happens
-        *before* the work starts, not only through the artifact store
-        after completion."""
-        _, computed = self.cache.fetch_or_compute(
+        *before* the work starts.  A template without key material is
+        recomputed, never stored."""
+        if self.cache is None:
+            return self._compute(template), True
+        if self.plan.templates[template].material is None:
+            return self._compute(template), False
+        return self.cache.fetch_or_compute(
             self.key_of(template), lambda: self._compute(template))
-        return computed
 
     def value_of(self, template: str) -> Any:
-        value, _ = self.cache.fetch_or_compute(
-            self.key_of(template), lambda: self._compute(template))
-        return value
+        node = self.nodes.get(template)
+        if node is not None and node.value is not None:
+            return node.value
+        return self.ensure(template)[0]
 
     def _compute(self, template: str) -> Any:
-        spec = self.plan.templates[template]
-        deps = {dep: self.value_of(dep) for dep in spec.deps}
-        return spec.compute(deps)
+        task = self.plan.templates[template]
+        return task.compute({dep: self.value_of(dep) for dep in task.deps})
+
+
+def _result_row(spec: JobSpec, result: WCETResult,
+                wall_seconds: float,
+                compile_seconds: float = 0.0) -> dict:
+    events = list(result.cache_events.values())
+    return {
+        "workload": spec.workload,
+        "policy": spec.policy,
+        "model": spec.model,
+        "wcet_cycles": result.wcet_cycles,
+        "lp_bound": result.path.lp_bound,
+        "integral": result.path.integral,
+        "graph": {"nodes": result.graph.node_count(),
+                  "edges": result.graph.edge_count(),
+                  "contexts": len(result.graph.contexts())},
+        "icache": dict(vars(result.icache.stats)),
+        "dcache": dict(vars(result.dcache.stats)),
+        "solver_stats": {name: stats.as_dict()
+                         for name, stats in result.solver_stats.items()},
+        "phase_seconds": {phase: round(seconds, 6)
+                          for phase, seconds
+                          in result.phase_seconds.items()},
+        "wall_seconds": round(wall_seconds, 6),
+        "compile_seconds": round(compile_seconds, 6),
+        "cache": {"events": dict(result.cache_events),
+                  "hits": events.count("hit"),
+                  "misses": events.count("miss")},
+    }
+
+
+def _execute(context: _TaskContext, template: str,
+             row: Sequence = ()) -> Tuple[Any, dict]:
+    """Run one task on its job's context: ensure a phase artifact, or
+    assemble the job's WCETResult and row from the scheduler's ``row``
+    attribution ``(spec, events, phase_seconds, wall[, compile])``.
+    Returns the task's artifact and its outcome fields."""
+    if template != "row":
+        value, computed = context.ensure(template)
+        return value, {"computed": computed}
+    spec, events, phase_seconds, *seconds = row
+    plan = context.plan
+    artifacts = {phase: context.value_of(phase) for phase in PHASES}
+    result = build_wcet_result(plan.program, plan.config, artifacts,
+                               phase_seconds, events,
+                               domain_impl=plan.domain_impl,
+                               profiles=plan.profiles)
+    return result, {"row": _result_row(spec, result, *seconds)}
 
 
 def _transportable(task):
@@ -172,71 +259,24 @@ def _transportable(task):
     return shielded
 
 
+def _cache_stats(cache: Optional[ArtifactCache]) -> dict:
+    if cache is None:
+        return {}
+    return {"memo": cache.memo_stats(), "quarantined": cache.quarantined}
+
+
 @_transportable
-def _phase_task(payload: Tuple[JobSpec, str, Optional[str],
-                               Optional[str], Optional[int],
-                               Optional[str]]) -> dict:
-    """Pool task: ensure one phase artifact exists in the store."""
+def _pool_task(payload: Tuple) -> dict:
+    """Pool task: one :func:`_execute` against the shared store; a row
+    task carries the parent's provenance and timing attribution."""
     faults.worker_task_started()
-    spec, template, cache_dir, salt, limit_bytes, impl = payload
-    start = time.perf_counter()
-    plan = _plan_for(spec, impl)
+    spec, template, cache_dir, salt, limit_bytes, impl, *row = payload
+    plan, _ = _plan_for(spec, impl)
     cache = _worker_cache(cache_dir, salt, limit_bytes)
-    context = _TaskContext(plan, cache)
-    computed = context.ensure(template)
-    return {"pid": os.getpid(), "computed": computed,
-            "memo": cache.memo_stats(),
-            "quarantined": cache.quarantined,
-            "seconds": time.perf_counter() - start}
-
-
-@_transportable
-def _row_task(payload: Tuple[JobSpec, Dict[str, str], Optional[str],
-                             Optional[str], Optional[int],
-                             Optional[str]]) -> dict:
-    """Pool task: assemble one job's result row from its (already
-    computed) phase artifacts.
-
-    ``events`` is the parent's canonical-owner hit/miss attribution
-    (:meth:`repro.batch.dag.SweepDAG.row_events`), so the row matches
-    a sequential sweep byte for byte outside the timing fields.
-    """
-    from .engine import _result_row
-
-    faults.worker_task_started()
-    spec, events, cache_dir, salt, limit_bytes, impl = payload
     start = time.perf_counter()
-    plan = _plan_for(spec, impl)
-    cache = _worker_cache(cache_dir, salt, limit_bytes)
-    context = _TaskContext(plan, cache)
-    artifacts = {}
-    phase_seconds = {}
-    for phase in PHASES:
-        phase_start = time.perf_counter()
-        artifacts[phase] = context.value_of(phase)
-        phase_seconds[phase] = time.perf_counter() - phase_start
-    result = build_wcet_result(plan.program, plan.config, artifacts,
-                               phase_seconds, dict(events),
-                               domain_impl=impl)
-    row = _result_row(spec, result, time.perf_counter() - start)
-    return {"pid": os.getpid(), "row": row,
-            "memo": cache.memo_stats(),
-            "quarantined": cache.quarantined,
-            "seconds": time.perf_counter() - start}
-
-
-@_transportable
-def _job_task(payload: Tuple[JobSpec]) -> dict:
-    """Pool task for ``use_cache=False`` sweeps: one whole job, no
-    artifact transport (nothing to share without a store)."""
-    from .engine import run_job
-
-    faults.worker_task_started()
-    (spec,) = payload
-    start = time.perf_counter()
-    row = run_job(spec, None)
-    return {"pid": os.getpid(), "row": row,
-            "seconds": time.perf_counter() - start}
+    _, outcome = _execute(_TaskContext(plan, cache), template, row)
+    return {"pid": os.getpid(), "seconds": time.perf_counter() - start,
+            **outcome, **_cache_stats(cache)}
 
 
 # -- Parent-side scheduling loop -------------------------------------------------
@@ -315,64 +355,72 @@ class SchedulerStats:
                 "memo": self.memo_summary()}
 
 
-def _node_error_row(node: TaskNode, message: str) -> dict:
-    spec = node.spec
+def _error_row(spec: JobSpec, message: str) -> dict:
     return {"workload": spec.workload, "policy": spec.policy,
             "model": spec.model, "error": message}
 
 
-def run_dag(sweep: SweepDAG, parallel: int,
+def run_dag(sweep: SweepDAG, parallel: int = 1,
             cache_dir: Optional[str] = None,
             salt: Optional[str] = None,
             limit_bytes: Optional[int] = None,
             domain_impl: Optional[str] = None,
             max_task_retries: int = DEFAULT_TASK_RETRIES,
             max_pool_rebuilds: int = DEFAULT_POOL_REBUILDS,
-            retry_backoff_seconds: float = DEFAULT_RETRY_BACKOFF
+            retry_backoff_seconds: float = DEFAULT_RETRY_BACKOFF,
+            store: Optional[ArtifactCache] = None,
+            cancel: Optional[threading.Event] = None,
+            deadline: Optional[float] = None
             ) -> Tuple[List[dict], SchedulerStats]:
-    """Execute the sweep DAG on a pool of ``parallel`` workers.
+    """Execute the sweep DAG in-process (``parallel <= 1``) or on a
+    pool of ``parallel`` workers.
 
     Returns rows in job order (error rows for failed jobs) and the
-    scheduler's statistics.  A task that errors is retried up to
-    ``max_task_retries`` times with exponential backoff
+    scheduler's statistics.  Pool workers open the store at
+    ``cache_dir``; in-process tasks use ``store`` (default: this
+    process's cache for ``cache_dir``, if any).  A task that errors is
+    retried up to ``max_task_retries`` times with exponential backoff
     (``retry_backoff_seconds * 2**attempt``) before failing its jobs;
-    a dead pool is rebuilt up to ``max_pool_rebuilds`` times with the
-    in-flight tasks resubmitted, and past that budget the remaining
-    schedule runs in-process sequentially (degraded mode) so every
-    row still completes.
+    a dead pool is rebuilt up to ``max_pool_rebuilds`` times, and past
+    that budget the rest runs in-process (degraded mode).  ``cancel``
+    (an event) and ``deadline`` (a :func:`time.monotonic` instant) are
+    checked between tasks and raise :class:`JobCancelled` /
+    :class:`JobTimeout`.
     """
     start = time.perf_counter()
     impl = resolve_domain_impl(domain_impl)
+    if store is None and cache_dir is not None:
+        store = _worker_cache(cache_dir, salt, limit_bytes)
     dag = sweep.dag
     stats = SchedulerStats(workers=parallel, **sweep.stats())
     rows: List[Optional[dict]] = [None] * len(sweep.jobs)
     for job_index, message in sweep.build_errors.items():
-        spec = sweep.jobs[job_index]
-        rows[job_index] = {"workload": spec.workload,
-                           "policy": spec.policy, "model": spec.model,
-                           "error": message}
+        rows[job_index] = _error_row(sweep.jobs[job_index], message)
 
     def job_index_of(node: TaskNode) -> Optional[int]:
-        if node.kind in ("row", "job"):
-            return node.identity[1]
-        return None
+        return node.identity[1] if node.kind == "row" else None
 
-    def payload_for(node: TaskNode):
-        if node.kind == "job":
-            return _job_task, (node.spec,)
-        if node.kind == "row":
-            events = sweep.row_events(job_index_of(node))
-            return _row_task, (node.spec, events, cache_dir, salt,
-                               limit_bytes, impl)
-        return _phase_task, (node.spec, node.template, cache_dir, salt,
-                             limit_bytes, impl)
+    def row_attribution(job_index: int) -> tuple:
+        return (sweep.jobs[job_index], sweep.row_events(job_index),
+                *sweep.row_timing(job_index))
+
+    def payload_for(node: TaskNode) -> tuple:
+        row = row_attribution(job_index_of(node)) if node.kind == "row" \
+            else ()
+        return (node.spec, node.template, cache_dir, salt, limit_bytes,
+                impl, *row)
+
+    def check_abort() -> None:
+        if cancel is not None and cancel.is_set():
+            raise JobCancelled()
+        if deadline is not None and time.monotonic() >= deadline:
+            raise JobTimeout()
 
     def record_failure(node: TaskNode, message: str) -> None:
         for failed in dag.fail(node, message):
             failed_index = job_index_of(failed)
             if failed_index is not None and rows[failed_index] is None:
-                rows[failed_index] = _node_error_row(failed,
-                                                     failed.error)
+                rows[failed_index] = _error_row(failed.spec, failed.error)
 
     # Retry machinery: attempts counts error-payload failures per node
     # (kills don't burn the budget — the culprit can't be identified);
@@ -394,6 +442,11 @@ def run_dag(sweep: SweepDAG, parallel: int,
         heapq.heappush(deferred, (time.monotonic() + delay,
                                   next(deferred_seq), node))
 
+    def absorb_cache_stats(pid: int, outcome: dict) -> None:
+        if "memo" in outcome:
+            stats.worker_memo[pid] = outcome["memo"]
+            stats.worker_quarantined[pid] = outcome["quarantined"]
+
     def absorb(node: TaskNode, outcome: dict) -> List[TaskNode]:
         """Book one returned task payload; error payloads go through
         the retry budget.  Returns the newly-released dependents."""
@@ -401,12 +454,7 @@ def run_dag(sweep: SweepDAG, parallel: int,
         seconds = outcome["seconds"]
         stats.worker_busy[pid] = \
             stats.worker_busy.get(pid, 0.0) + seconds
-        memo = outcome.get("memo")
-        if memo is not None:
-            stats.worker_memo[pid] = memo
-        quarantined = outcome.get("quarantined")
-        if quarantined is not None:
-            stats.worker_quarantined[pid] = quarantined
+        absorb_cache_stats(pid, outcome)
         error = outcome.get("error")
         if error is not None:
             retry_or_fail(node, error)
@@ -417,24 +465,53 @@ def run_dag(sweep: SweepDAG, parallel: int,
             if handoff.worker is not None and handoff.worker != pid:
                 stats.steals += 1
         computed = outcome.get("computed")
-        if node.kind in ("phase", "annotate"):
-            if computed:
-                stats.computed_tasks += 1
-            else:
-                stats.cache_served_tasks += 1
-        else:
+        if node.kind == "row":
             rows[job_index_of(node)] = outcome["row"]
+        elif computed:
+            stats.computed_tasks += 1
+        else:
+            stats.cache_served_tasks += 1
         return dag.complete(node, computed=computed, seconds=seconds,
                             worker=pid)
 
-    def run_inline(crashed: List[TaskNode]) -> None:
-        """Degraded mode: drain the remaining schedule in-process.
+    contexts: Dict[int, Tuple[_TaskContext, float]] = {}
 
-        Worker-kill fault injection never fires in this process (see
+    def run_here(node: TaskNode) -> dict:
+        """Execute one task in this process; its artifact stays on the
+        node for dependents, row assembly and the caller."""
+        pid = os.getpid()
+        start = time.perf_counter()
+        try:
+            job_index, template = node.refs[0]
+            if job_index not in contexts:
+                plan, compile_seconds = (
+                    (sweep.plans[job_index], 0.0) if sweep.plans
+                    else _plan_for(sweep.jobs[job_index], impl))
+                contexts[job_index] = (
+                    _TaskContext(plan, store,
+                                 sweep.job_phase_nodes[job_index]),
+                    compile_seconds)
+            context, compile_seconds = contexts[job_index]
+            row = (*row_attribution(job_index), compile_seconds) \
+                if node.kind == "row" else ()
+            start = time.perf_counter()
+            node.value, outcome = _execute(context, template, row)
+        except Exception as exc:
+            node.exception = exc
+            return {"pid": pid, "error": f"{type(exc).__name__}: {exc}",
+                    "seconds": time.perf_counter() - start}
+        return {"pid": pid, "seconds": time.perf_counter() - start,
+                **outcome}
+
+    def run_inline(ready: List[TaskNode], degraded: bool = False) -> None:
+        """The inline backend: drain the schedule in this process,
+        lowest build index first.  Also the degraded mode of a pool
+        past its rebuild budget: worker-kill fault injection never
+        fires in this process (see
         :func:`repro.faults.worker_task_started`), so a sweep whose
         pool keeps dying still terminates with complete rows.
         """
-        queue = [node.index for node in crashed]
+        queue = [node.index for node in ready]
         heapq.heapify(queue)
         while queue or deferred:
             now = time.monotonic()
@@ -444,16 +521,19 @@ def run_dag(sweep: SweepDAG, parallel: int,
             if not queue:
                 time.sleep(max(0.0, deferred[0][0] - now))
                 continue
+            check_abort()
             node = dag.nodes[heapq.heappop(queue)]
-            function, payload = payload_for(node)
-            stats.degraded_tasks += 1
-            for released in absorb(node, function(payload)):
+            stats.degraded_tasks += degraded
+            for released in absorb(node, run_here(node)):
                 heapq.heappush(queue, released.index)
+        if contexts and store is not None:
+            absorb_cache_stats(os.getpid(), _cache_stats(store))
 
     pending_submit: List[TaskNode] = dag.start()
     rebuilds_left = max_pool_rebuilds
+    degraded = False
     futures: Dict[Any, TaskNode] = {}
-    while True:                         # one iteration per pool lifetime
+    while parallel > 1:                 # one iteration per pool lifetime
         futures.clear()
         try:
             with ProcessPoolExecutor(max_workers=parallel,
@@ -464,9 +544,10 @@ def run_dag(sweep: SweepDAG, parallel: int,
                     # pool) leaves the unsubmitted rest in
                     # pending_submit for the crash handler.
                     while pending_submit:
+                        check_abort()
                         node = pending_submit[0]
-                        function, payload = payload_for(node)
-                        futures[pool.submit(function, payload)] = node
+                        futures[pool.submit(_pool_task,
+                                            payload_for(node))] = node
                         pending_submit.pop(0)
 
                 submit_pending()
@@ -515,19 +596,36 @@ def run_dag(sweep: SweepDAG, parallel: int,
                 rebuilds_left -= 1
                 stats.pool_rebuilds += 1
                 continue
-            run_inline(pending_submit)
+            degraded = True
             break
+    run_inline(pending_submit, degraded)
 
     for node in dag.unfinished():
         # Nodes stranded by an abort that fail() already visited have
         # error rows; anything else (defensively) becomes one too.
         record_failure(node, "task was never scheduled")
     for job_index, row in enumerate(rows):
-        if row is None:
-            spec = sweep.jobs[job_index]
-            rows[job_index] = {"workload": spec.workload,
-                               "policy": spec.policy,
-                               "model": spec.model,
-                               "error": "job did not complete"}
+        if row is None and sweep.row_nodes[job_index] is not None:
+            rows[job_index] = _error_row(sweep.jobs[job_index],
+                                         "job did not complete")
     stats.wall_seconds = time.perf_counter() - start
     return rows, stats
+
+
+def run_plans(plans: Sequence[JobPlan],
+              store: Optional[ArtifactCache] = None,
+              cancel: Optional[threading.Event] = None,
+              deadline: Optional[float] = None
+              ) -> Tuple[List[dict], SweepDAG]:
+    """Run in-process callers' plans as one DAG on the inline backend;
+    returns the rows and the drained DAG (see
+    :meth:`~repro.batch.dag.SweepDAG.artifact`).  A failing task is not
+    retried: its exception reaches the caller."""
+    sweep = build_sweep_dag([plan.spec for plan in plans],
+                            use_cache=store is not None, plans=plans)
+    rows, _ = run_dag(sweep, store=store, max_task_retries=0,
+                      cancel=cancel, deadline=deadline)
+    for node in sweep.dag.nodes:
+        if node.exception is not None:
+            raise node.exception
+    return rows, sweep

@@ -12,7 +12,7 @@ from .client import (ServeClientError, analyze, cancel, poll,
 from .http import AnalysisRequestHandler, AnalysisServer
 from .journal import TERMINAL_STATUSES, JobJournal
 from .service import (AnalysisRequest, AnalysisService, JobCancelled,
-                      JobTimeout, PointPlan, ValidationError)
+                      JobTimeout, ValidationError)
 
 __all__ = [
     "AnalysisRequest",
@@ -22,7 +22,6 @@ __all__ = [
     "JobCancelled",
     "JobJournal",
     "JobTimeout",
-    "PointPlan",
     "ServeClientError",
     "TERMINAL_STATUSES",
     "ValidationError",

@@ -14,13 +14,14 @@ image, so an edit to a function the analyzed entry never reaches — or
 to data no reachable function references — leaves every phase key of
 the re-submission identical to the cached run.
 
-Each request expands to a deduplicated :class:`~repro.batch.dag.TaskDAG`
-(two models share their point's cfg/value/loopbounds/icache/dcache
-artifacts, exactly as in a batch sweep) and drains through
-:class:`~repro.batch.scheduler._TaskContext`, so serve-computed
-artifacts live under the same keys a batch sweep or a plain
-:func:`~repro.wcet.ait.analyze_wcet` would address.  Hit/miss
-provenance per phase uses the sweep's canonical-owner attribution
+Each request builds one :class:`~repro.batch.dag.JobPlan` per (policy,
+model) point and runs them as one deduplicated task DAG (two models
+share their point's cfg/value/loopbounds/icache/dcache artifacts,
+exactly as in a batch sweep) on the batch layer's executor in the
+service's pool thread (:func:`~repro.batch.scheduler.run_plans`), so
+serve-computed artifacts live under the same keys a batch sweep or a
+plain :func:`~repro.wcet.ait.analyze_wcet` would address, and rows
+carry the same canonical-owner hit/miss provenance
 (:meth:`~repro.batch.dag.SweepDAG.row_events`).
 
 The job lifecycle is fault-tolerant: transitions are journalled
@@ -42,16 +43,14 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..cache.config import PIPELINE_MODELS, MachineConfig
+from ..cache.config import PIPELINE_MODELS
 from ..isa import assemble
 from ..isa.program import Program
 from ..lang import compile_program
-from ..wcet.ait import PHASES, build_wcet_result, phase_plan
 from ..batch.cachestore import ArtifactCache
-from ..batch.dag import SweepDAG, TaskDAG, _wrap_phase
-from ..batch.engine import _result_row
+from ..batch.dag import JobPlan
 from ..batch.jobs import JobSpec, parse_policy
-from ..batch.scheduler import _TaskContext
+from ..batch.scheduler import JobCancelled, JobTimeout, run_plans
 from .journal import TERMINAL_STATUSES, JobJournal
 
 
@@ -59,30 +58,10 @@ class ValidationError(ValueError):
     """A malformed analyze request (mapped to HTTP 400)."""
 
 
-class JobCancelled(Exception):
-    """Internal: the job's cancel event fired between phase tasks."""
-
-
-class JobTimeout(Exception):
-    """Internal: the job's wall-clock deadline expired."""
-
-
 _ALLOWED_FIELDS = frozenset({
     "source", "assembly", "policies", "models", "entry",
     "loop_bounds", "register_ranges", "label", "timeout_seconds",
 })
-
-#: Main-chain dependency structure of the seven phases (mirrors
-#: :func:`repro.batch.dag._job_identities` for unannotated programs).
-_PHASE_DEPS = {
-    "cfg": (),
-    "value": ("cfg",),
-    "loopbounds": ("value",),
-    "icache": ("cfg",),
-    "dcache": ("cfg", "value"),
-    "pipeline": ("cfg", "icache", "dcache"),
-    "path": ("cfg", "pipeline", "loopbounds", "value"),
-}
 
 
 def _parse_int(value: Any, what: str) -> int:
@@ -208,32 +187,6 @@ class AnalysisRequest:
         if self.source is not None:
             return compile_program(self.source)
         return assemble(self.assembly)
-
-
-class PointPlan:
-    """Executable phase templates of one (policy, model) point.
-
-    The same shape as the worker-side :class:`~repro.batch.dag.JobPlan`
-    — a ``templates`` dict of :class:`~repro.batch.dag.ExecTemplate` —
-    which is the whole interface
-    :class:`~repro.batch.scheduler._TaskContext` needs to chain keys
-    and resolve artifacts.
-    """
-
-    def __init__(self, program: Program, request: AnalysisRequest,
-                 policy: str, model: str):
-        self.config = MachineConfig.default().with_model(model)
-        self.policy_desc = parse_policy(policy).describe()
-        entry = program.symbol_address(request.entry) \
-            if request.entry is not None else None
-        tasks = phase_plan(
-            program, entry=entry,
-            register_ranges=request.register_ranges,
-            manual_loop_bounds=request.loop_bounds,
-            context_policy=parse_policy(policy),
-            pipeline_model=model)
-        self.templates = {task.name: _wrap_phase(task.name, "", task)
-                          for task in tasks}
 
 
 class AnalysisService:
@@ -423,17 +376,6 @@ class AnalysisService:
             update = {"status": "done", **outcome}
         self._finish(job_id, update)
 
-    @staticmethod
-    def _check_abort(cancel_event: Optional[threading.Event],
-                     deadline: Optional[float]) -> None:
-        """Cooperative cancellation/deadline check between phase
-        tasks (a task in flight finishes; its artifact stays cached,
-        so a resubmission still profits from the partial work)."""
-        if cancel_event is not None and cancel_event.is_set():
-            raise JobCancelled()
-        if deadline is not None and time.monotonic() >= deadline:
-            raise JobTimeout()
-
     def _analyze(self, request: AnalysisRequest,
                  cancel_event: Optional[threading.Event] = None,
                  deadline: Optional[float] = None) -> dict:
@@ -441,65 +383,20 @@ class AnalysisService:
         compile_start = time.perf_counter()
         program = request.load_program()
         compile_seconds = time.perf_counter() - compile_start
+        entry = program.symbol_address(request.entry) \
+            if request.entry is not None else None
 
-        points = [(policy, model) for policy in request.policies
-                  for model in request.models]
-        specs = [JobSpec(request.label, policy, model)
-                 for policy, model in points]
-        plans = [PointPlan(program, request, policy, model)
-                 for policy, model in points]
-        contexts = [_TaskContext(plan, self.cache) for plan in plans]
-
-        # One deduplicated DAG per request: both models of a policy
-        # share every model-independent phase node, so provenance and
-        # work match a batch sweep of the same matrix.
-        dag = TaskDAG()
-        job_phase_nodes: List[Dict[str, Any]] = []
-        for index, (spec, plan) in enumerate(zip(specs, plans)):
-            by_template: Dict[str, Any] = {}
-            for phase in PHASES:
-                identity: Tuple = (phase, plan.policy_desc)
-                if phase in ("pipeline", "path"):
-                    identity += (spec.model,)
-                by_template[phase] = dag.add_node(
-                    identity, f"{spec.job_id}:{phase}", "phase", spec,
-                    phase, [by_template[dep]
-                            for dep in _PHASE_DEPS[phase]], index)
-            job_phase_nodes.append(by_template)
-        sweep = SweepDAG(specs, dag, [None] * len(specs),
-                         job_phase_nodes, {})
-
-        # Drain the DAG in this pool thread (cross-request concurrency
-        # comes from the service pool; the shared cache makes artifacts
-        # visible across requests the moment they are stored).
-        ready = dag.start()
-        while ready:
-            self._check_abort(cancel_event, deadline)
-            node = ready.pop(0)
-            owner = node.refs[0][0]
-            phase_start = time.perf_counter()
-            computed = contexts[owner].ensure(node.template)
-            dag.complete(node, computed=computed,
-                         seconds=time.perf_counter() - phase_start)
-            ready.extend(dag.pop_ready())
-
-        rows = []
-        for index, (spec, plan, context) in enumerate(
-                zip(specs, plans, contexts)):
-            self._check_abort(cancel_event, deadline)
-            row_start = time.perf_counter()
-            artifacts = {}
-            phase_seconds = {}
-            for phase in PHASES:
-                value_start = time.perf_counter()
-                artifacts[phase] = context.value_of(phase)
-                phase_seconds[phase] = \
-                    time.perf_counter() - value_start
-            result = build_wcet_result(program, plan.config, artifacts,
-                                       phase_seconds,
-                                       sweep.row_events(index))
-            rows.append(_result_row(
-                spec, result, time.perf_counter() - row_start))
+        # Cross-request concurrency comes from the service pool; the
+        # shared cache makes artifacts visible across requests the
+        # moment they are stored.
+        plans = [JobPlan(program, spec=JobSpec(request.label, policy, model),
+                         entry=entry, register_ranges=request.register_ranges,
+                         manual_loop_bounds=request.loop_bounds,
+                         context_policy=parse_policy(policy),
+                         pipeline_model=model)
+                 for policy in request.policies for model in request.models]
+        rows, _ = run_plans(plans, store=self.cache, cancel=cancel_event,
+                            deadline=deadline)
 
         hits = sum(row["cache"]["hits"] for row in rows)
         misses = sum(row["cache"]["misses"] for row in rows)

@@ -8,21 +8,20 @@ KRISC binary and returns a :class:`WCETResult` carrying every
 intermediate artifact plus per-phase runtimes (experiment E7).
 
 Each phase is a named, individually-cacheable step (:data:`PHASES`):
-:func:`analyze_wcet` drives them through a :class:`PhaseRunner`, which
-can consult an optional content-addressed artifact cache (the batch
-sweep engine's :class:`~repro.batch.cachestore.ArtifactCache`).  Phase
-cache keys chain — each phase's key material embeds the keys of the
-phases it consumes — so any upstream input change transparently
-invalidates every downstream artifact, while unrelated inputs share:
-e.g. the expanded task graph and the value analysis are keyed only by
+:func:`analyze_wcet` runs them as a one-job task DAG on the batch
+layer's executor (:func:`repro.batch.scheduler.run_plans`), which can
+consult an optional content-addressed artifact cache (the
+:class:`~repro.batch.cachestore.ArtifactCache`).  Phase cache keys
+chain — each phase's key material embeds the keys of the phases it
+consumes — so any upstream input change transparently invalidates
+every downstream artifact, while unrelated inputs share: e.g. the
+expanded task graph and the value analysis are keyed only by
 (program, entry, indirect targets, context policy[, value parameters]),
 so both pipeline timing models reuse them.
 """
 
 from __future__ import annotations
 
-import cProfile
-import time
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Type)
@@ -121,8 +120,7 @@ class WCETResult:
 # -- Named analysis phases ------------------------------------------------------
 
 #: The aiT pipeline's phases in execution order.  Every phase is one
-#: :class:`PhaseTask` descriptor built by :func:`phase_plan`, run under
-#: a shared :class:`PhaseRunner`.
+#: :class:`PhaseTask` descriptor built by :func:`phase_plan`.
 PHASES = ("cfg", "value", "loopbounds", "icache", "dcache", "pipeline",
           "path")
 
@@ -133,67 +131,21 @@ class PhaseTask:
     to key, order, and run the phase *without* executing it.
 
     ``material`` maps the cache keys of the phase's dependencies (name
-    -> key) to the phase's own key material; ``compute`` maps the
-    dependency artifacts (name -> artifact) to the phase's artifact.
-    The split is what lets the batch layer schedule phases of *many*
-    jobs as one deduplicated DAG: task identity is the cache key, and
-    a key can be derived from upstream keys alone.
+    -> key) and a ``fetch(name) -> artifact`` resolver to the phase's
+    own key material; ``compute`` maps the dependency artifacts (name
+    -> artifact) to the phase's artifact.  The split is what lets the
+    batch layer schedule phases of *many* jobs as one deduplicated
+    DAG: task identity is the cache key, and a key can be derived from
+    upstream keys alone.  A task without ``material`` is a cheap view
+    of its dependencies that is recomputed wherever it is needed and
+    never stored.
     """
 
     name: str
     deps: Tuple[str, ...]
-    material: Callable[[Mapping[str, str]], str]
+    material: Optional[Callable[[Mapping[str, str],
+                                 Callable[[str], Any]], str]]
     compute: Callable[[Mapping[str, Any]], Any]
-
-
-class PhaseRunner:
-    """Runs named phases, consulting an optional artifact cache.
-
-    The cache protocol (implemented by
-    :class:`repro.batch.cachestore.ArtifactCache`) is three methods:
-    ``key(material) -> str`` (digest the key material, mixing in the
-    cache's code-version salt), ``lookup(key) -> (hit, value)``, and
-    ``store(key, value)``.  Without a cache the runner just computes.
-
-    Phases must execute in dependency order under one runner: a
-    phase's key material references the keys of its upstream phases
-    (:meth:`key_of`), which is what makes invalidation transitive.
-    """
-
-    def __init__(self, cache=None):
-        self.cache = cache
-        self.keys: Dict[str, str] = {}
-        self.events: Dict[str, str] = {}
-
-    def key_of(self, phase: str) -> str:
-        """The cache key an already-run upstream phase was stored under."""
-        return self.keys[phase]
-
-    def run(self, name, material, compute):
-        """Run phase ``name``: serve ``compute()``'s value from the
-        cache when the digest of ``material()`` is present, computing
-        and storing it otherwise."""
-        if self.cache is None:
-            return compute()
-        key = self.cache.key(material())
-        self.keys[name] = key
-        hit, value = self.cache.lookup(key)
-        if hit:
-            self.events[name] = "hit"
-            return value
-        value = compute()
-        self.cache.store(key, value)
-        self.events[name] = "miss"
-        return value
-
-    def run_task(self, task: PhaseTask,
-                 results: Mapping[str, Any]) -> Any:
-        """Run one :class:`PhaseTask` against already-computed upstream
-        ``results`` (name -> artifact)."""
-        deps = {name: results[name] for name in task.deps}
-        return self.run(task.name,
-                        lambda: task.material(self.keys),
-                        lambda: task.compute(deps))
 
 
 def _mapping_material(mapping: Optional[Mapping]) -> str:
@@ -216,9 +168,9 @@ def _cache_config_material(config: CacheConfig) -> str:
 
 # -- Key-material builders -------------------------------------------------------
 #
-# One function per phase, shared by the in-process pipeline below and
-# the batch layer's DAG scheduler, so both address the same artifacts:
-# a sweep's cold DAG run and a later sequential warm run hit the same
+# One function per phase, shared by every plan the batch layer's DAG
+# executor runs, so all entry points address the same artifacts: a
+# sweep's cold pool run and a later in-process warm run hit the same
 # cache objects.
 
 def material_cfg(program: Program, entry: Optional[int],
@@ -310,23 +262,6 @@ def value_effective_impl(domain: Type[AbstractValue],
     return effective
 
 
-def loopbounds_task(manual_loop_bounds: Optional[Dict[int, int]]
-                    ) -> PhaseTask:
-    """The loop-bound phase descriptor for a known annotation mapping.
-
-    Split out of :func:`phase_plan` because the batch DAG needs to
-    build it *late*: for workloads that follow the discover-then-
-    annotate workflow, the manual mapping is itself the product of an
-    upstream task.
-    """
-    return PhaseTask(
-        "loopbounds", ("value",),
-        lambda keys: material_loopbounds(keys["value"],
-                                         manual_loop_bounds),
-        lambda deps: analyze_loop_bounds(deps["value"],
-                                         manual_loop_bounds))
-
-
 def phase_plan(program: Program,
                config: Optional[MachineConfig] = None,
                entry: Optional[int] = None,
@@ -347,10 +282,10 @@ def phase_plan(program: Program,
     """Build the full pipeline as a list of :class:`PhaseTask`
     descriptors in execution order, without running anything.
 
-    Parameters mirror :func:`analyze_wcet` exactly; running the plan's
-    tasks in order under one :class:`PhaseRunner` *is* the pipeline.
-    The batch layer instead feeds the descriptors of many jobs into
-    one deduplicated task DAG (:mod:`repro.batch.dag`).
+    Parameters mirror :func:`analyze_wcet` exactly.  The batch layer
+    wraps the descriptors into a :class:`~repro.batch.dag.JobPlan` and
+    feeds the plans of one or many jobs into one deduplicated task DAG
+    (:mod:`repro.batch.dag`).
     """
     config = config or MachineConfig.default()
     if pipeline_model is not None:
@@ -401,59 +336,45 @@ def phase_plan(program: Program,
     return [
         PhaseTask(
             "cfg", (),
-            lambda keys: material_cfg(program, entry, indirect_targets,
-                                      policy),
+            lambda keys, fetch: material_cfg(program, entry,
+                                             indirect_targets, policy),
             compute_cfg),
         PhaseTask(
             "value", ("cfg",),
-            lambda keys: material_value(
+            lambda keys, fetch: material_value(
                 keys["cfg"], domain, register_ranges, narrowing_passes,
                 use_widening_thresholds, memory_ranges, value_impl,
                 program.reachable_slice(entry, indirect_targets).data),
             compute_value),
-        loopbounds_task(manual_loop_bounds),
+        PhaseTask(
+            "loopbounds", ("value",),
+            lambda keys, fetch: material_loopbounds(keys["value"],
+                                                    manual_loop_bounds),
+            lambda deps: analyze_loop_bounds(deps["value"],
+                                             manual_loop_bounds)),
         PhaseTask(
             "icache", ("cfg",),
-            lambda keys: material_icache(keys["cfg"], config.icache,
-                                         impl),
+            lambda keys, fetch: material_icache(keys["cfg"],
+                                                config.icache, impl),
             compute_icache),
         PhaseTask(
             "dcache", ("cfg", "value"),
-            lambda keys: material_dcache(
+            lambda keys, fetch: material_dcache(
                 keys["cfg"], keys["value"], config.dcache,
                 use_value_analysis_for_dcache, impl),
             compute_dcache),
         PhaseTask(
             "pipeline", ("cfg", "icache", "dcache"),
-            lambda keys: material_pipeline(
+            lambda keys, fetch: material_pipeline(
                 keys["cfg"], keys["icache"], keys["dcache"], config),
             compute_pipeline),
         PhaseTask(
             "path", ("cfg", "pipeline", "loopbounds", "value"),
-            lambda keys: material_path(
+            lambda keys, fetch: material_path(
                 keys["cfg"], keys["pipeline"], keys["loopbounds"],
                 keys["value"], use_infeasible_paths, integer),
             compute_path),
     ]
-
-
-def collect_solver_stats(values: ValueAnalysisResult,
-                         icache: ICacheResult, dcache: DCacheResult,
-                         timing: TimingModel,
-                         path: PathAnalysisResult) -> Dict[str, object]:
-    """The per-phase work counters a :class:`WCETResult` carries."""
-    solver_stats: Dict[str, object] = {}
-    if values.fixpoint.stats is not None:
-        solver_stats["value"] = values.fixpoint.stats
-    if icache.fixpoint_stats is not None:
-        solver_stats["icache"] = icache.fixpoint_stats
-    if dcache.fixpoint_stats is not None:
-        solver_stats["dcache"] = dcache.fixpoint_stats
-    if timing.fixpoint_stats is not None:
-        solver_stats["pipeline"] = timing.fixpoint_stats
-    if path.solver_stats is not None:
-        solver_stats["path"] = path.solver_stats
-    return solver_stats
 
 
 def build_wcet_result(program: Program, config: MachineConfig,
@@ -465,22 +386,24 @@ def build_wcet_result(program: Program, config: MachineConfig,
                       ) -> WCETResult:
     """Assemble a :class:`WCETResult` from the seven phase artifacts.
 
-    Used by :func:`analyze_wcet` after running the plan in-process and
-    by the batch DAG scheduler after collecting the same artifacts from
-    distributed tasks — both directions produce identical results.
+    The DAG executor's row assembly, whether the artifacts were
+    computed in-process or collected from pool workers — both
+    directions produce identical results.
     """
     binary_cfg, graph = artifacts["cfg"]
-    values = artifacts["value"]
-    icache = artifacts["icache"]
-    dcache = artifacts["dcache"]
-    timing = artifacts["pipeline"]
-    path = artifacts["path"]
+    values, icache, dcache, timing, path = (
+        artifacts[phase] for phase in ("value", "icache", "dcache",
+                                       "pipeline", "path"))
+    solver_stats = {name: stats for name, stats in (
+        ("value", values.fixpoint.stats),
+        ("icache", icache.fixpoint_stats),
+        ("dcache", dcache.fixpoint_stats),
+        ("pipeline", timing.fixpoint_stats),
+        ("path", path.solver_stats)) if stats is not None}
     return WCETResult(
         program, config, binary_cfg, graph, values,
         artifacts["loopbounds"], icache, dcache, timing, path,
-        phase_seconds,
-        solver_stats=collect_solver_stats(values, icache, dcache,
-                                          timing, path),
+        phase_seconds, solver_stats=solver_stats,
         context_policy=graph.policy, cache_events=cache_events,
         domain_impl=domain_impl, profiles=profiles or {})
 
@@ -497,15 +420,12 @@ def analyze_loop_annotations(program: Program,
     headers to annotate manually.  Uses the same phase steps (and hence
     shares cached artifacts) as :func:`analyze_wcet`.
     """
-    plan = phase_plan(program, memory_ranges=memory_ranges,
-                      domain_impl=domain_impl)
-    runner = PhaseRunner(phase_cache)
-    results: Dict[str, Any] = {}
-    for task in plan:
-        results[task.name] = runner.run_task(task, results)
-        if task.name == "loopbounds":
-            return results["loopbounds"]
-    raise AssertionError("phase plan lacks a loopbounds phase")
+    from ..batch.dag import JobPlan
+    from ..batch.scheduler import run_plans
+
+    plan = JobPlan(program, phases=PHASES[:3], memory_ranges=memory_ranges,
+                   domain_impl=domain_impl)
+    return run_plans([plan], store=phase_cache)[1].artifact(0, "loopbounds")
 
 
 def analyze_wcet(program: Program,
@@ -563,12 +483,10 @@ def analyze_wcet(program: Program,
     ``$REPRO_DOMAIN_IMPL``.  ``profile=True`` wraps each phase in a
     ``cProfile`` run, collected in :attr:`WCETResult.profiles`.
     """
-    config = config or MachineConfig.default()
-    if pipeline_model is not None:
-        config = config.with_model(pipeline_model)
-    impl = resolve_domain_impl(
-        domain_impl if domain_impl is not None else config.domain_impl)
-    plan = phase_plan(
+    from ..batch.dag import JobPlan
+    from ..batch.scheduler import run_plans
+
+    plan = JobPlan(
         program, config=config, entry=entry,
         register_ranges=register_ranges,
         manual_loop_bounds=manual_loop_bounds,
@@ -577,32 +495,8 @@ def analyze_wcet(program: Program,
         use_value_analysis_for_dcache=use_value_analysis_for_dcache,
         use_widening_thresholds=use_widening_thresholds,
         narrowing_passes=narrowing_passes, integer=integer,
-        context_policy=context_policy, memory_ranges=memory_ranges,
-        domain_impl=impl)
-    phases: Dict[str, float] = {}
-    profiles: Dict[str, object] = {}
-
-    def timed(name):
-        class _Timer:
-            def __enter__(self):
-                if profile:
-                    self.profiler = cProfile.Profile()
-                    self.profiler.enable()
-                self.start = time.perf_counter()
-
-            def __exit__(self, *exc):
-                phases[name] = time.perf_counter() - self.start
-                if profile:
-                    self.profiler.disable()
-                    profiles[name] = self.profiler
-        return _Timer()
-
-    runner = PhaseRunner(phase_cache)
-    results: Dict[str, Any] = {}
-    for task in plan:
-        with timed(task.name):
-            results[task.name] = runner.run_task(task, results)
-
-    return build_wcet_result(program, config, results, phases,
-                             dict(runner.events), domain_impl=impl,
-                             profiles=profiles)
+        context_policy=context_policy, pipeline_model=pipeline_model,
+        memory_ranges=memory_ranges, domain_impl=domain_impl)
+    if profile:
+        plan.profile()
+    return run_plans([plan], store=phase_cache)[1].artifact(0, "row")

@@ -17,7 +17,7 @@ from ..cache.config import MachineConfig
 from ..isa.program import Program
 from ..lang.compiler import compile_program
 from ..sim.cpu import ExecutionResult, Simulator
-from ..wcet.ait import WCETResult, analyze_wcet
+from ..wcet.ait import WCETResult
 from . import kernels
 
 
@@ -232,21 +232,16 @@ def analyze_workload(workload: Workload,
     ``program`` reuses an already-compiled binary (sweep workers
     compile each workload once); ``phase_cache`` threads a
     content-addressed artifact cache (:mod:`repro.batch`) through both
-    the annotation-discovery prefix and the main analysis.
+    the annotation-discovery prefix and the main analysis, which run
+    as one job on the batch layer's DAG executor.
     """
-    from ..wcet.ait import analyze_loop_annotations
+    from ..batch.dag import JobPlan
+    from ..batch.scheduler import run_plans
 
     program = program or workload.compile()
-    memory_ranges = workload.memory_ranges(program)
-    manual: Dict[int, int] = {}
-    if workload.manual_bounds_in_order:
-        bounds = analyze_loop_annotations(program,
-                                          memory_ranges=memory_ranges,
-                                          phase_cache=phase_cache)
-        manual = derive_manual_bounds(workload, bounds)
-    return analyze_wcet(program, config=config, manual_loop_bounds=manual,
-                        memory_ranges=memory_ranges,
-                        phase_cache=phase_cache, **kwargs)
+    plan = JobPlan(program, workload, config=config, manual_loop_bounds={},
+                   memory_ranges=workload.memory_ranges(program), **kwargs)
+    return run_plans([plan], store=phase_cache)[1].artifact(0, "row")
 
 
 def sweep_suite(matrix: str = "all:all:all",

@@ -18,9 +18,9 @@ import time
 
 import pytest
 
-from repro.batch import (ArtifactCache, JobSpec, code_version_salt,
-                         expand_matrix, golden_from_rows, merge_golden,
-                         parse_policy, run_sweep)
+from repro.batch import (ArtifactCache, JobSpec, clear_process_caches,
+                         code_version_salt, expand_matrix, golden_from_rows,
+                         merge_golden, parse_policy, run_sweep)
 from repro.cache.config import MachineConfig
 from repro.cfg.contexts import (FullCallString, KLimitedCallString, VIVU)
 from repro.report import wcet_report
@@ -334,27 +334,28 @@ def test_code_version_salt_is_stable_and_hex():
 
 
 def test_process_cache_normalizes_default_salt(tmp_path):
-    # A worker asked for the default salt (None) and one asked for the
+    # A process asked for the default salt (None) and one asked for the
     # explicit code-version salt must share the same memoised cache:
     # they address identical keys.
-    from repro.batch.engine import _process_cache
-    implicit = _process_cache(str(tmp_path), None, True)
-    explicit = _process_cache(str(tmp_path), code_version_salt(), True)
+    from repro.batch.scheduler import _worker_cache
+    implicit = _worker_cache(str(tmp_path), None, None)
+    explicit = _worker_cache(str(tmp_path), code_version_salt(), None)
     assert implicit is explicit
 
 
-def test_run_job_reports_compile_time_separately(tmp_path):
-    from repro.batch.engine import run_job
-    cache = ArtifactCache(str(tmp_path))
-    spec = JobSpec("fibcall", "full", "additive")
-    row = run_job(spec, cache=cache)
-    assert "compile_seconds" in row
-    assert row["compile_seconds"] >= 0.0
-    assert row["wall_seconds"] >= 0.0
+def test_inline_sweep_reports_compile_time_separately(tmp_path):
+    clear_process_caches()
+    jobs = expand_matrix("fibcall:full")
+    cold = run_sweep(jobs, parallel=1, cache_dir=str(tmp_path))
+    first, second = cold.rows
+    assert first["compile_seconds"] > 0.0
+    assert first["wall_seconds"] >= 0.0
+    # The second model reuses the memoised program: no compile charge.
+    assert second["compile_seconds"] == 0.0
     # A memoised program compiles for free on the warm run.
-    warm = run_job(spec, cache=cache)
-    assert warm["compile_seconds"] == 0.0
-    assert warm["wcet_cycles"] == row["wcet_cycles"]
+    warm = run_sweep(jobs, parallel=1, cache_dir=str(tmp_path))
+    assert [row["compile_seconds"] for row in warm.rows] == [0.0, 0.0]
+    assert warm.bounds() == cold.bounds()
 
 
 def test_program_content_digest():
@@ -385,6 +386,27 @@ def test_cached_analysis_is_bit_identical_to_uncached(tmp_path):
             line for line in wcet_report(r).splitlines()
             if " ms" not in line)
         assert strip(result) == strip(plain)
+
+
+def test_uncached_analysis_derives_no_keys(monkeypatch):
+    # Without a store the executor keys nothing: on the large point key
+    # derivation alone would cost ~2% of an uncached analyze_wcet.
+    from repro.batch.scheduler import _TaskContext
+    from repro.wcet.ait import analyze_loop_annotations
+
+    def no_keys(self, template):
+        raise AssertionError(f"derived a key for {template} without a store")
+
+    monkeypatch.setattr(_TaskContext, "key_of", no_keys)
+    workload = get_workload("fibcall")
+    result = analyze_workload(workload)
+    assert result.cache_events == {}
+    program = workload.compile()
+    assert analyze_loop_annotations(
+        program, memory_ranges=workload.memory_ranges(program)) \
+        == result.loop_bounds
+    sweep = run_sweep(expand_matrix("bs:full:additive"), use_cache=False)
+    assert sweep.errors == []
 
 
 def test_phase_sharing_across_pipeline_models(tmp_path):

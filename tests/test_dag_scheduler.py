@@ -14,6 +14,7 @@ bounded store.
 import copy
 import glob
 import os
+import time
 
 import pytest
 
@@ -98,13 +99,6 @@ class TestDAGConstruction:
         assert sweep.row_nodes[1] is not None
         assert "warp9" in sweep.build_errors[2]
 
-    def test_no_cache_dag_degrades_to_job_nodes(self):
-        jobs = expand_matrix(SMALL_MATRIX)
-        sweep = build_sweep_dag(jobs, use_cache=False)
-        assert all(node.kind == "job" for node in sweep.dag.nodes)
-        assert len(sweep.dag.nodes) == len(jobs)
-        assert sweep.stats()["phase_refs"] == 0
-
     def test_cycle_rejection(self):
         dag = TaskDAG()
         spec = JobSpec("fibcall", "full", "additive")
@@ -181,10 +175,33 @@ class TestSchedulerDeterminism:
         assert stats["deduped_tasks"] > 0
         assert 0 < sum(stats["worker_busy_fraction"].values())
 
-    def test_sequential_path_records_no_scheduler_stats(self):
-        result = run_sweep(expand_matrix("fibcall:full:additive"),
-                           parallel=1)
-        assert result.scheduler is None
+    def test_jobs_1_and_2_report_equal_dag_stats(self):
+        # --jobs 1 is the same DAG on the inline backend, so the dedup
+        # counts (and --min-dedup / --min-retries) mean the same there.
+        jobs = expand_matrix("fibcall:full:additive,krisc5")
+        stats = {}
+        for workers in (1, 2):
+            clear_process_caches()
+            stats[workers] = run_sweep(jobs, parallel=workers).scheduler
+            assert stats[workers]["workers"] == workers
+        keys = ("phase_refs", "unique_tasks", "deduped_tasks")
+        assert [stats[1][key] for key in keys] == [14, 9, 5]
+        assert [stats[2][key] for key in keys] == [14, 9, 5]
+
+    def test_no_cache_sweep_matches_golden_and_still_dedups(self):
+        # --no-cache means no store, not a degraded DAG: the pool still
+        # shares tasks across jobs (through a temporary spill store),
+        # and rows record no cache provenance.
+        jobs = expand_matrix(SMALL_MATRIX)
+        assert build_sweep_dag(jobs, use_cache=False).stats() \
+            == build_sweep_dag(jobs).stats()
+        clear_process_caches()
+        result = run_sweep(jobs, parallel=2, use_cache=False)
+        assert result.errors == []
+        assert compare_rows(result.rows, load_golden(GOLDEN)) == []
+        assert all(row["cache"] == {"events": {}, "hits": 0, "misses": 0}
+                   for row in result.rows)
+        assert result.scheduler["deduped_tasks"] == 34
 
     def test_warm_shared_cache_dir_serves_everything(self, tmp_path):
         jobs = expand_matrix(SMALL_MATRIX)
@@ -194,6 +211,61 @@ class TestSchedulerDeterminism:
         warm = run_sweep(jobs, parallel=2, cache_dir=str(tmp_path))
         assert warm.hit_ratio() == 1.0
         assert warm.scheduler["computed_tasks"] == 0
+
+
+# -- Timing fields ---------------------------------------------------------------
+
+
+class TestTimingFields:
+    @pytest.mark.parametrize("executor", ["jobs1", "jobs2", "serve"])
+    def test_rows_report_the_producing_task_seconds(self, executor,
+                                                    monkeypatch, tmp_path):
+        # Under every executor a row's phase seconds are the seconds of
+        # the task that produced the artifact (compute plus store on a
+        # miss), not of fetching it: both models share one value task,
+        # so both rows report its compute.
+        from repro.wcet import ait
+        real = ait.analyze_values
+
+        def slow_values(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ait, "analyze_values", slow_values)
+        clear_process_caches()
+        if executor == "serve":
+            from repro.serve import AnalysisService
+            from repro.workloads.suite import get_workload
+            service = AnalysisService(cache_dir=str(tmp_path), workers=1)
+            try:
+                job_id = service.submit({
+                    "source": get_workload("matmult").source,
+                    "models": ["additive", "krisc5"]})
+                deadline = time.monotonic() + 120
+                while service.job(job_id)["status"] in ("pending",
+                                                         "running"):
+                    assert time.monotonic() < deadline, "job stuck"
+                    time.sleep(0.01)
+                record = service.job(job_id)
+            finally:
+                service.close()
+            assert record["status"] == "done", record.get("error")
+            rows = record["rows"]
+        else:
+            if executor == "jobs2" \
+                    and dag_scheduler._pool_context() is None:
+                pytest.skip("needs fork start method")
+            rows = run_sweep(expand_matrix("matmult:full:additive,krisc5"),
+                             parallel=1 if executor == "jobs1" else 2,
+                             cache_dir=str(tmp_path)).rows
+        assert [row["cache"]["events"]["value"] for row in rows] \
+            == ["miss", "hit"]
+        for row in rows:
+            assert row["phase_seconds"]["value"] >= 0.05, row
+        # The additive row owns the value task, so its wall clock
+        # includes it; the krisc5 row owns only pipeline and path.
+        assert rows[0]["wall_seconds"] >= 0.05
+        assert rows[1]["wall_seconds"] < rows[0]["wall_seconds"]
 
 
 # -- Failure handling ------------------------------------------------------------
@@ -220,7 +292,7 @@ class TestFailureHandling:
         # that does not survive a pickle round-trip would otherwise
         # break the *pool* (parent-side unpickling fails and every
         # in-flight job dies), not just the task.
-        outcome = dag_scheduler._phase_task(
+        outcome = dag_scheduler._pool_task(
             (JobSpec("fibcall", "full", "additive"), "no-such-phase",
              None, None, None, None))
         assert "KeyError" in outcome["error"]

@@ -198,12 +198,12 @@ class TestQuarantine:
 # with complete rows and golden bounds — faults cost work, not results.
 
 
-_REAL_PHASE_TASK = dag_scheduler._phase_task
+_REAL_POOL_TASK = dag_scheduler._pool_task
 _FLAKY_DIR = None
 
 
-def _flaky_phase_task(payload):
-    """Fails each distinct phase task exactly once (cross-process
+def _flaky_pool_task(payload):
+    """Fails each distinct task template exactly once (cross-process
     markers on disk), then delegates to the real task."""
     template = payload[1]
     marker = os.path.join(_FLAKY_DIR,
@@ -212,7 +212,7 @@ def _flaky_phase_task(payload):
         with open(marker, "x"):
             pass
     except FileExistsError:
-        return _REAL_PHASE_TASK(payload)
+        return _REAL_POOL_TASK(payload)
     return {"pid": os.getpid(), "error": "injected flake",
             "seconds": 0.0}
 
@@ -227,8 +227,8 @@ class TestSchedulerChaos:
                                               tmp_path):
         monkeypatch.setattr(sys.modules[__name__], "_FLAKY_DIR",
                             str(tmp_path))
-        monkeypatch.setattr(dag_scheduler, "_phase_task",
-                            _flaky_phase_task)
+        monkeypatch.setattr(dag_scheduler, "_pool_task",
+                            _flaky_pool_task)
         jobs = expand_matrix("fibcall:full:additive,krisc5")
         clear_process_caches()
         result = run_sweep(jobs, parallel=2)

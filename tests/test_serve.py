@@ -222,6 +222,17 @@ class TestIncrementalService:
             "cfg": "hit", "value": "hit", "loopbounds": "hit",
             "icache": "hit", "dcache": "hit",
             "pipeline": "miss", "path": "miss"}
+        # analyze_wcet runs the same plans on the same executor: the
+        # two models in turn on one fresh cache give the request's
+        # bounds and per-phase provenance.
+        cache = ArtifactCache()
+        program = compile_program(BASE)
+        for model, row in (("additive", additive), ("krisc5", krisc5)):
+            result = analyze_wcet(program, pipeline_model=model,
+                                  phase_cache=cache)
+            assert result.wcet_cycles == row["wcet_cycles"]
+            assert result.path.lp_bound == row["lp_bound"]
+            assert result.cache_events == row["cache"]["events"]
 
     def test_stats_report_jobs_and_memo(self, service):
         run(service, {"source": BASE})
