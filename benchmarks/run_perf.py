@@ -54,11 +54,14 @@ from repro.workloads.synthetic import generate_large_source  # noqa: E402
 STAGES = (1, 2, 4, 8, 16)
 QUICK_STAGES = (1, 4)
 
-#: Wall-clock budgets for the large synthetic point (ILP-engine guard):
-#: the whole analysis must finish well inside interactive time, and the
-#: path phase — the former bottleneck — gets its own tighter budget.
+#: Guards on the large synthetic point (ILP-engine guard).  The simplex
+#: work is judged by deterministic counts, which catch a regression that
+#: a noisy wall clock cannot: the path LP takes 706 pivots and never
+#: drifts far enough to refactorize.  The whole analysis must also
+#: finish well inside interactive time (a coarse wall-clock backstop).
 LARGE_TOTAL_BUDGET_SECONDS = 5.0
-LARGE_PATH_BUDGET_SECONDS = 2.5
+LARGE_MAX_PIVOTS = 800
+LARGE_MAX_REFACTORIZATIONS = 1
 
 #: Timing models measured per point (per-model WCET + phase wall clock).
 MODELS = ("additive", "krisc5")
@@ -194,7 +197,8 @@ def measure_point(stages: int, repeat: int) -> Dict:
 def measure_large_point(repeat: int) -> Dict:
     """The large synthetic corpus point (thousands of instructions,
     deep call tree, dense branching): exercises the sparse ILP engine
-    at scale and guards its wall clock and bound across runs."""
+    at scale and guards its pivot counts, wall clock and bound across
+    runs."""
     program = compile_program(generate_large_source())
     wall_times: List[float] = []
     result = None
@@ -203,9 +207,9 @@ def measure_large_point(repeat: int) -> Dict:
         analyzed = analyze_wcet(program)
         wall = time.perf_counter() - start
         wall_times.append(wall)
-        # Keep the fastest repetition's result so the per-phase guard
-        # (path_seconds) is judged on the same run as min(wall_times) —
-        # bounds are deterministic, but phase timings are not.
+        # Keep the fastest repetition's result so the recorded phase
+        # timings come from the same run as min(wall_times) — bounds
+        # and pivot counts are deterministic, but phase timings are not.
         if result is None or wall <= min(wall_times):
             result = analyzed
 
@@ -410,10 +414,16 @@ def main(argv=None) -> int:
             f"large point analyze_wcet took "
             f"{large['analyze_wcet_seconds']:.2f}s "
             f"> budget {LARGE_TOTAL_BUDGET_SECONDS}s")
-    if large["path_seconds"] > LARGE_PATH_BUDGET_SECONDS:
+    ilp = large["ilp_stats"]
+    if ilp["pivots"] > LARGE_MAX_PIVOTS:
         failures.append(
-            f"large point path phase took {large['path_seconds']:.2f}s "
-            f"> budget {LARGE_PATH_BUDGET_SECONDS}s")
+            f"large point path LP took {ilp['pivots']} pivots "
+            f"> budget {LARGE_MAX_PIVOTS}")
+    if ilp["refactorizations"] > LARGE_MAX_REFACTORIZATIONS:
+        failures.append(
+            f"large point path LP refactorized "
+            f"{ilp['refactorizations']} times "
+            f"> budget {LARGE_MAX_REFACTORIZATIONS}")
     impl_bounds = {impl: entry["wcet_cycles"]
                    for impl, entry in large["domain_impls"].items()}
     if len(set(impl_bounds.values())) != 1:

@@ -231,7 +231,7 @@ class AbstractState:
     """
 
     __slots__ = ("domain", "regs", "flags", "memory", "aliases",
-                 "_bottom", "_shared")
+                 "_bottom", "_bottom_regs", "_shared")
 
     #: Class-wide instrumentation: state copies handed out (all O(1)
     #: under COW) and the number that had to materialise registers.
@@ -245,8 +245,15 @@ class AbstractState:
                  aliases: Optional[Dict[int, Tuple[int, int]]] = None,
                  bottom: bool = False):
         self.domain = domain
-        self.regs = regs if regs is not None else \
-            [domain.top() for _ in range(NUM_REGISTERS)]
+        #: Bit ``reg`` is set while register ``reg`` holds bottom; every
+        #: later register write goes through :meth:`_write`.
+        if regs is None:
+            self.regs = [domain.top() for _ in range(NUM_REGISTERS)]
+            self._bottom_regs = 0
+        else:
+            self.regs = regs
+            self._bottom_regs = sum(1 << reg for reg, value
+                                    in enumerate(regs) if value.is_bottom())
         self.flags = flags
         self.memory = memory if memory is not None else \
             AbstractMemory(domain)
@@ -278,7 +285,7 @@ class AbstractState:
         the backing abstract memory (e.g. a vectorized one).
         """
         state = cls(domain, memory=memory)
-        state.regs[SP] = domain.const(stack_pointer)
+        state._write(SP, domain.const(stack_pointer))
         if initial_memory:
             for address, word in initial_memory.items():
                 state.memory.seed(address, domain.const(word))
@@ -287,7 +294,7 @@ class AbstractState:
                 state.memory.seed(address, domain.range(low, high))
         if register_ranges:
             for reg, (low, high) in register_ranges.items():
-                state.regs[reg] = domain.range(low, high)
+                state._write(reg, domain.range(low, high))
         return state
 
     @classmethod
@@ -299,9 +306,15 @@ class AbstractState:
         shared with the original until either side mutates."""
         AbstractState.copies += 1
         self._shared = True
-        clone = AbstractState(self.domain, self.regs, self.flags,
-                              self.memory.copy(), self.aliases,
-                              self._bottom)
+        # Bypasses __init__, which would rescan the shared registers.
+        clone = AbstractState.__new__(AbstractState)
+        clone.domain = self.domain
+        clone.regs = self.regs
+        clone.flags = self.flags
+        clone.memory = self.memory.copy()
+        clone.aliases = self.aliases
+        clone._bottom = self._bottom
+        clone._bottom_regs = self._bottom_regs
         clone._shared = True
         return clone
 
@@ -318,10 +331,18 @@ class AbstractState:
     def get(self, reg: int) -> AbstractValue:
         return self.regs[reg]
 
+    def _write(self, reg: int, value: AbstractValue) -> None:
+        """Store into a private register file, keeping the bottom mask."""
+        self.regs[reg] = value
+        if value.is_bottom():
+            self._bottom_regs |= 1 << reg
+        else:
+            self._bottom_regs &= ~(1 << reg)
+
     def set(self, reg: int, value: AbstractValue) -> None:
         """Write a register, invalidating flag and alias links to it."""
         self._materialize()
-        self.regs[reg] = value
+        self._write(reg, value)
         if self.flags is not None:
             self.flags = self.flags.invalidate_register(reg)
         self.aliases.pop(reg, None)
@@ -340,17 +361,17 @@ class AbstractState:
         difference aliases one hop in each direction."""
         self._materialize()
         refined = self.regs[reg].meet(value)
-        self.regs[reg] = refined
+        self._write(reg, refined)
         alias = self.aliases.get(reg)
         if alias is not None:
             base, offset = alias
             base_value = refined.sub(self.domain.const(offset))
-            self.regs[base] = self.regs[base].meet(base_value)
+            self._write(base, self.regs[base].meet(base_value))
         for dependent, (base, offset) in self.aliases.items():
             if base == reg and dependent != reg:
                 dep_value = refined.add(self.domain.const(offset))
-                self.regs[dependent] = \
-                    self.regs[dependent].meet(dep_value)
+                self._write(dependent,
+                            self.regs[dependent].meet(dep_value))
 
     @property
     def stack_pointer(self) -> AbstractValue:
@@ -359,7 +380,7 @@ class AbstractState:
     # -- Lattice -----------------------------------------------------------------------
 
     def is_bottom(self) -> bool:
-        return self._bottom or any(r.is_bottom() for r in self.regs)
+        return self._bottom or self._bottom_regs != 0
 
     def same_structure(self, other: "AbstractState") -> bool:
         """Structural fingerprint: two states sharing all underlying

@@ -62,12 +62,6 @@ class SparseMatrix:
         lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
         return self.rows[lo:hi], self.vals[lo:hi]
 
-    def dense_col(self, j: int) -> np.ndarray:
-        out = np.zeros(self.m)
-        lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
-        out[self.rows[lo:hi]] = self.vals[lo:hi]
-        return out
-
     def dense_submatrix(self, columns: np.ndarray) -> np.ndarray:
         """Dense ``m x len(columns)`` matrix of the given columns (the
         basis matrix for refactorisation)."""
@@ -83,10 +77,10 @@ class SparseMatrix:
         """``A @ x`` for a dense ``x`` (length n)."""
         contrib = x[self.cols] * self.vals
         return np.bincount(self.rows, weights=contrib,
-                           minlength=self.m).astype(np.float64)
+                           minlength=self.m).astype(np.float64, copy=False)
 
     def t_dot(self, y: np.ndarray) -> np.ndarray:
         """``A.T @ y`` for a dense ``y`` (length m)."""
         contrib = y[self.rows] * self.vals
         return np.bincount(self.cols, weights=contrib,
-                           minlength=self.n).astype(np.float64)
+                           minlength=self.n).astype(np.float64, copy=False)

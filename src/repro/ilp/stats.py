@@ -25,7 +25,7 @@ class ILPStats:
     dual_pivots: int = 0
     #: Nonbasic bound flips (no basis change).
     bound_flips: int = 0
-    #: Basis-inverse rebuilds (periodic numerical hygiene).
+    #: Basis-inverse rebuilds, run when the primal residual drifts.
     refactorizations: int = 0
     #: Pivots taken under the Bland anti-cycling fallback.
     bland_pivots: int = 0
@@ -83,7 +83,9 @@ class ILPStats:
     def __str__(self) -> str:
         return (f"{self.pivots} pivots "
                 f"({self.phase1_pivots} p1 / {self.phase2_pivots} p2 / "
-                f"{self.dual_pivots} dual), presolve "
+                f"{self.dual_pivots} dual; {self.bound_flips} bound flips, "
+                f"{self.bland_pivots} Bland, "
+                f"{self.refactorizations} refactorizations), presolve "
                 f"-{self.presolve_rows_removed} rows / "
                 f"-{self.presolve_cols_removed} cols, "
                 f"{self.bb_nodes} B&B nodes "

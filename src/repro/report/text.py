@@ -113,8 +113,10 @@ def wcet_report(result: WCETResult,
     if solver is not None:
         out(f"   solver: {solver.pivots} pivots "
             f"({solver.phase1_pivots} p1 / {solver.phase2_pivots} p2 / "
-            f"{solver.dual_pivots} dual), presolve removed "
-            f"{solver.presolve_rows_removed} rows / "
+            f"{solver.dual_pivots} dual), {solver.bound_flips} bound "
+            f"flips, {solver.bland_pivots} Bland pivots, "
+            f"{solver.refactorizations} refactorizations")
+        out(f"   presolve removed {solver.presolve_rows_removed} rows / "
             f"{solver.presolve_cols_removed} cols")
         if solver.bb_nodes:
             out(f"   branch & bound: {solver.bb_nodes} nodes, "

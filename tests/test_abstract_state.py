@@ -14,7 +14,7 @@ from repro.isa.instructions import Cond, Instruction, Opcode
 def fresh_state(**regs):
     state = AbstractState(Interval)
     for reg, (lo, hi) in regs.items():
-        state.regs[int(reg[1:])] = Interval(lo, hi)
+        state.set(int(reg[1:]), Interval(lo, hi))
     return state
 
 
@@ -195,6 +195,24 @@ class TestStateLattice:
         bottom = AbstractState.bottom_state(Interval)
         assert bottom.join(a).get(1) == Interval(0, 3)
         assert a.join(bottom).get(1) == Interval(0, 3)
+
+    def test_bottom_register_tracked_through_writes_and_copies(self):
+        # is_bottom means "the flag or any register is bottom", kept up
+        # to date on every write (not sticky) and carried by COW copies.
+        state = fresh_state(R1=(0, 3))
+        state.refine_register(1, Interval(5, 9))
+        assert state.is_bottom()
+        copy = state.copy()
+        assert copy.is_bottom()
+        state.set(1, Interval(0, 1))
+        assert not state.is_bottom()
+        assert copy.is_bottom()
+        built = AbstractState(Interval, [Interval.top()] * 15
+                              + [Interval.bottom()])
+        assert built.is_bottom()
+        entry = AbstractState.entry_state(Interval, 0x1000,
+                                          register_ranges={2: (5, 4)})
+        assert entry.is_bottom()
 
     def test_leq_reflexive_and_ordered(self):
         small = fresh_state(R1=(2, 3))

@@ -2,9 +2,11 @@
 
 Differential coverage against the retained dense tableau
 (:func:`repro.ilp.solve_lp_dense`) on every IPET program the workload
-suite generates, randomized LP property tests, a degenerate/cycling
-regression exercising the Bland fallback, presolve unit tests, and the
-chain-contraction / solver-stats plumbing of path analysis.
+suite generates and on one ~500-pivot synthetic program, randomized LP
+property tests, a degenerate/cycling regression exercising the Bland
+fallback, residual-triggered refactorization of a perturbed basis
+inverse, presolve unit tests, and the chain-contraction / solver-stats
+plumbing of path analysis.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.ilp import (ILPStats, LinearProgram, Sense, presolve,
                        solve_ilp, solve_lp, solve_lp_dense)
+from repro.ilp.revised import RevisedSimplex
 from repro.path.ipet import PathAnalysis
 from repro.report.text import wcet_report
 from repro.workloads.suite import (WORKLOADS, analyze_workload,
@@ -87,6 +90,27 @@ class TestWorkloadDifferential:
                 assert packed.num_variables < plain.num_variables
             else:
                 assert packed.lp_supernodes == plain.lp_supernodes
+
+    def test_dense_and_sparse_agree_in_many_pivot_regime(self):
+        # The suite LPs mostly solve in presolve or a few pivots; this
+        # synthetic program keeps 880 columns and needs ~500 pivots,
+        # with long degenerate (Bland) runs and a real phase 1.
+        from repro.lang import compile_program
+        from repro.wcet import analyze_wcet
+        from repro.workloads.synthetic import generate_large_source
+
+        result = analyze_wcet(compile_program(generate_large_source(
+            depth=3, fanout=3, loop_iterations=6)))
+        program = ipet_program(result, contract=True)
+        stats = ILPStats()
+        sparse = solve_lp(program, stats=stats)
+        dense = solve_lp_dense(program)
+        assert stats.pivots > 300
+        assert stats.phase1_pivots > 0 and stats.bland_pivots > 0
+        assert dense.status == sparse.status == "optimal"
+        assert sparse.objective == pytest.approx(dense.objective, abs=1e-6)
+        assert sparse.objective == pytest.approx(result.path.lp_bound,
+                                                 abs=1e-6)
 
     def test_contraction_covers_all_executed_nodes(self):
         result = analyze_workload(get_workload("matmult"))
@@ -180,6 +204,88 @@ class TestDegenerateRegression:
         assert solution.is_optimal
         assert solution.objective == pytest.approx(0.05)
         assert stats.bland_pivots > 0
+
+
+def node_program(simplex):
+    """The LP a solver instance currently solves, over presolved
+    columns with its own (possibly branched) bounds."""
+    core = simplex.core
+    n = core.n_struct
+    lower = simplex.lower[:n] + core.shift
+    upper = simplex.upper[:n] + core.shift
+    rows = [([coeffs.get(j, 0.0) for j in range(n)], sense, rhs)
+            for coeffs, sense, rhs in core.pre.rows]
+    return build(n, core.pre.objective, rows, lower=lower,
+                 upper=[None if np.isinf(u) else u for u in upper],
+                 integer=False)
+
+
+def perturb_inverse(simplex):
+    """Scale the basis inverse off by one part in a million: pivot
+    choices stay the same, but every step it takes drifts ``A x``."""
+    simplex.Binv *= 1.0 + 1e-6
+
+
+class TestResidualRefactorization:
+    """No suite program drifts far enough to refactor, so the residual
+    check is exercised by perturbing the basis inverse mid-solve."""
+
+    def test_primal_refactors_a_drifted_inverse(self, monkeypatch):
+        pivot = RevisedSimplex._pivot
+        perturbed = []
+
+        def pivot_then_perturb(simplex, *args):
+            pivot(simplex, *args)
+            if not perturbed:
+                perturb_inverse(simplex)
+                perturbed.append(simplex)
+
+        monkeypatch.setattr(RevisedSimplex, "_pivot", pivot_then_perturb)
+        # Every pivot from the slack basis moves the point, so the step
+        # after the perturbation leaves A x = b.
+        program = build(3, [3, 2, 4], [
+            ([1, 1, 2], Sense.LE, 4),
+            ([2, 0, 1], Sense.LE, 5),
+            ([1, 3, 0], Sense.LE, 6),
+        ], integer=False)
+        stats = ILPStats()
+        solution = solve_lp(program, stats=stats)
+        assert perturbed and stats.phase2_pivots >= 2
+        assert stats.refactorizations >= 1
+        assert solution.objective == pytest.approx(
+            solve_lp_dense(program).objective, abs=1e-9)
+
+    def test_warm_started_node_refactors_a_drifted_inverse(
+            self, monkeypatch):
+        reoptimize = RevisedSimplex.reoptimize_dual
+        nodes = []
+
+        def perturb_then_reoptimize(simplex, *args, **kwargs):
+            perturb_inverse(simplex)
+            status = reoptimize(simplex, *args, **kwargs)
+            objective = float(simplex.core.pre.objective
+                              @ simplex.structural_values())
+            nodes.append((status, objective, node_program(simplex)))
+            return status
+
+        monkeypatch.setattr(RevisedSimplex, "reoptimize_dual",
+                            perturb_then_reoptimize)
+        # max 5x + 4y: relaxation (3, 1.5) = 21, integer optimum 20.
+        program = build(2, [5, 4], [
+            ([6, 4], Sense.LE, 24),
+            ([1, 2], Sense.LE, 6),
+        ])
+        stats = ILPStats()
+        solution, _bstats = solve_ilp(program, stats=stats)
+        assert stats.warm_start_hits >= 1 and stats.dual_pivots >= 1
+        assert stats.refactorizations >= stats.warm_start_hits
+        assert solution.objective == pytest.approx(20, abs=1e-9)
+        for status, objective, lp in nodes:
+            dense = solve_lp_dense(lp)
+            assert status == dense.status
+            if dense.is_optimal:
+                assert objective == pytest.approx(dense.objective,
+                                                  abs=1e-9)
 
 
 class TestPresolve:
@@ -290,6 +396,19 @@ class TestSolverStatsPlumbing:
         assert "chain contraction" in report
         assert "solver:" in report
         assert "presolve removed" in report
+        # A program that pivots: the simplex counters this engine moves
+        # (bound flips, Bland fallbacks, refactorizations) are printed.
+        result = analyze_workload(get_workload("calltree"))
+        stats = result.solver_stats["path"]
+        assert stats.pivots > 0
+        solver_line = next(line for line in wcet_report(result).splitlines()
+                           if "solver:" in line)
+        for counter in (f"{stats.pivots} pivots",
+                        f"{stats.bound_flips} bound flips",
+                        f"{stats.bland_pivots} Bland pivots",
+                        f"{stats.refactorizations} refactorizations"):
+            assert counter in solver_line
+        assert f"{stats.refactorizations} refactorizations" in str(stats)
 
 
 class TestLargeProgramGenerator:
