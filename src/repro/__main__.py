@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 from .cfg.contexts import make_policy
 from .isa import assemble, disassemble
 from .isa.program import Program
+from .isa.registers import parse_register
 from .lang import compile_program
 from .report import wcet_dot, wcet_report, worst_case_path_table
 from .sim import run_program
@@ -34,33 +35,55 @@ def _load_program(path: str) -> Program:
     return assemble(source)
 
 
-def _parse_assignments(items: List[str], what: str) -> Dict[str, int]:
-    values: Dict[str, int] = {}
-    for item in items:
-        if "=" not in item:
-            raise SystemExit(f"bad {what} {item!r}: expected KEY=VALUE")
-        key, _, raw = item.partition("=")
-        values[key.strip()] = int(raw, 0)
-    return values
+def _annotation(syntax: str):
+    """Turn a parser's ``ValueError`` into a usage error (exit 2) that
+    names the flag and the expected ``syntax``."""
+    def wrap(parse):
+        def convert(text: str):
+            try:
+                return parse(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"expected {syntax}, got {text!r}") from None
+        return convert
+    return wrap
+
+
+def _split(text: str) -> Tuple[str, str]:
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise ValueError(text)
+    return key.strip(), value.strip()
+
+
+@_annotation("ADDR=N")
+def _loop_bound(text: str) -> Tuple[int, int]:
+    address, count = _split(text)
+    return int(address, 0), int(count, 0)
+
+
+@_annotation("Rk=LO:HI")
+def _register_range(text: str) -> Tuple[int, Tuple[int, int]]:
+    register, span = _split(text)
+    low, sep, high = span.partition(":")
+    if not sep:
+        raise ValueError(text)
+    return parse_register(register), (int(low, 0), int(high, 0))
+
+
+@_annotation("Rk=V")
+def _register_value(text: str) -> Tuple[int, int]:
+    register, value = _split(text)
+    return parse_register(register), int(value, 0)
 
 
 def cmd_wcet(args: argparse.Namespace) -> int:
     program = _load_program(args.file)
-    manual = {int(k, 0): v for k, v in _parse_assignments(
-        args.loop_bound, "loop bound").items()}
-    ranges = None
-    if args.reg_range:
-        ranges = {}
-        for item in args.reg_range:
-            name, _, span = item.partition("=")
-            low, _, high = span.partition(":")
-            ranges[int(name.lstrip("Rr"), 0)] = (int(low, 0),
-                                                 int(high, 0))
+    ranges = dict(args.reg_range) or None
     policy = make_policy(args.context_policy, k=args.k, peel=args.peel)
-    result = analyze_wcet(program, manual_loop_bounds=manual,
+    result = analyze_wcet(program, manual_loop_bounds=dict(args.loop_bound),
                           register_ranges=ranges, context_policy=policy,
                           pipeline_model=args.pipeline_model,
-                          domain_impl=args.domain_impl,
                           profile=args.profile)
     stack = analyze_stack(program, register_ranges=ranges)
     print(wcet_report(result, stack))
@@ -93,10 +116,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     from .cache.config import MachineConfig
 
     program = _load_program(args.file)
-    arguments = {int(k.lstrip("Rr")): v for k, v in _parse_assignments(
-        args.reg, "register").items()}
     config = MachineConfig(pipeline_model=args.pipeline_model)
-    result = run_program(program, config=config, arguments=arguments,
+    result = run_program(program, config=config, arguments=dict(args.reg),
                          max_steps=args.max_steps)
     print(f"halted after {result.steps} instructions, "
           f"{result.cycles} cycles")
@@ -119,22 +140,21 @@ def cmd_disasm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rta_sweep(files, cache_dir=None, golden=None, write_golden=None,
-               orderings=None, geometries=None) -> int:
-    """Shared by ``repro rta --sweep`` and ``repro batch --scenario
-    rta``: ordering × geometry schedulability sweep with golden
-    verdicts."""
+def _rta_sweep(args: argparse.Namespace) -> int:
+    """``repro rta --sweep``: ordering × geometry schedulability sweep
+    with golden verdicts."""
     from .batch.cachestore import ArtifactCache
     from .rta.sweep import (GEOMETRIES, compare_with_golden,
-                            load_golden, rows_to_golden, save_golden,
-                            sweep_taskset)
+                            load_golden, save_golden, sweep_taskset)
     from .rta.taskset import ORDERINGS, load_taskset
 
-    cache = ArtifactCache(cache_dir)
-    orderings = orderings or ORDERINGS
-    geometries = geometries or GEOMETRIES
+    cache = ArtifactCache(args.cache_dir)
+    orderings = args.orderings.split(",") if args.orderings \
+        else ORDERINGS
+    geometries = args.geometries.split(",") if args.geometries \
+        else GEOMETRIES
     rows = []
-    for path in files:
+    for path in args.files:
         rows.extend(sweep_taskset(load_taskset(path),
                                   orderings=orderings,
                                   geometries=geometries, cache=cache))
@@ -154,20 +174,11 @@ def _rta_sweep(files, cache_dir=None, golden=None, write_golden=None,
           f"{cache.misses} misses")
 
     failures = []
-    if golden:
-        failures.extend(compare_with_golden(rows, load_golden(golden)))
-    if write_golden:
-        merged = rows_to_golden(rows)
-        try:
-            existing = load_golden(write_golden)
-        except FileNotFoundError:
-            existing = {}
-        existing.update(merged)
-        import json as _json
-        with open(write_golden, "w", encoding="utf-8") as handle:
-            _json.dump(existing, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"golden verdicts written to {write_golden}")
+    if args.golden:
+        failures.extend(compare_with_golden(rows, load_golden(args.golden)))
+    if args.write_golden:
+        save_golden(args.write_golden, rows)
+        print(f"golden verdicts written to {args.write_golden}")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -178,13 +189,8 @@ def cmd_rta(args: argparse.Namespace) -> int:
     from .rta import analyze_taskset, verify_taskset
     from .rta.taskset import load_taskset
 
-    orderings = args.orderings.split(",") if args.orderings else None
-    geometries = args.geometries.split(",") if args.geometries else None
     if args.sweep:
-        return _rta_sweep(args.files, cache_dir=args.cache_dir,
-                          golden=args.golden,
-                          write_golden=args.write_golden,
-                          orderings=orderings, geometries=geometries)
+        return _rta_sweep(args)
 
     cache = ArtifactCache(args.cache_dir)
     failures = []
@@ -225,24 +231,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
                         merge_golden, save_golden)
     from .workloads.suite import sweep_suite
 
-    if args.scenario == "rta":
-        if not args.taskset:
-            raise SystemExit("--scenario rta requires --taskset")
-        return _rta_sweep(args.taskset, cache_dir=args.cache_dir,
-                          golden=args.golden,
-                          write_golden=args.write_golden)
-
-    scheduler_options = {}
-    if args.task_retries is not None:
-        scheduler_options["max_task_retries"] = args.task_retries
-    if args.pool_rebuilds is not None:
-        scheduler_options["max_pool_rebuilds"] = args.pool_rebuilds
     result = sweep_suite(args.matrix, parallel=args.jobs,
                          cache_dir=args.cache_dir,
                          use_cache=not args.no_cache,
                          jsonl_path=args.jsonl,
-                         cache_limit_mb=args.cache_limit_mb,
-                         **scheduler_options)
+                         cache_limit_mb=args.cache_limit_mb)
     jobs = result.jobs
 
     header = (f"{'workload':<12} {'policy':<12} {'model':<9} "
@@ -383,15 +376,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.entry:
         payload["entry"] = args.entry
     if args.loop_bound:
-        payload["loop_bounds"] = _parse_assignments(args.loop_bound,
-                                                    "loop bound")
+        payload["loop_bounds"] = dict(args.loop_bound)
     if args.reg_range:
-        ranges = {}
-        for item in args.reg_range:
-            name, _, span = item.partition("=")
-            low, _, high = span.partition(":")
-            ranges[name.strip()] = [int(low, 0), int(high, 0)]
-        payload["register_ranges"] = ranges
+        payload["register_ranges"] = {
+            f"R{register}": list(span) for register, span in args.reg_range}
     if args.label:
         payload["label"] = args.label
 
@@ -427,6 +415,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_annotation_flags(parser: argparse.ArgumentParser) -> None:
+    """The aiT annotation flags ``wcet`` and ``analyze`` share."""
+    parser.add_argument("--loop-bound", action="append", default=[],
+                        type=_loop_bound, metavar="ADDR=N",
+                        help="manual bound for a loop header address")
+    parser.add_argument("--reg-range", action="append", default=[],
+                        type=_register_range, metavar="Rk=LO:HI",
+                        help="entry value range annotation")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -439,12 +437,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_wcet.add_argument("--dot", help="write annotated CFG (DOT)")
     p_wcet.add_argument("--path", action="store_true",
                         help="print the worst-case path table")
-    p_wcet.add_argument("--loop-bound", action="append", default=[],
-                        metavar="ADDR=N",
-                        help="manual bound for a loop header address")
-    p_wcet.add_argument("--reg-range", action="append", default=[],
-                        metavar="Rk=LO:HI",
-                        help="entry value range annotation")
+    _add_annotation_flags(p_wcet)
     p_wcet.add_argument("--context-policy", default="full",
                         choices=["full", "klimited", "vivu"],
                         help="context sensitivity: full call strings "
@@ -466,12 +459,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "additive costs (default) or the "
                              "overlapped 5-stage krisc5 pipeline "
                              "(abstract pipeline-state analysis)")
-    p_wcet.add_argument("--domain-impl", default=None,
-                        choices=["python", "numpy"],
-                        help="abstract-domain implementation: packed "
-                             "numpy arrays (default) or the pure-Python "
-                             "reference; bounds are identical either "
-                             "way (overrides $REPRO_DOMAIN_IMPL)")
     p_wcet.add_argument("--profile", action="store_true",
                         help="profile each analysis phase (cProfile) "
                              "and print its top-20 functions by "
@@ -485,7 +472,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run = sub.add_parser("run", help="simulate one concrete run")
     p_run.add_argument("file")
     p_run.add_argument("--reg", action="append", default=[],
-                       metavar="Rk=V", help="initial register value")
+                       type=_register_value, metavar="Rk=V",
+                       help="initial register value")
     p_run.add_argument("--max-steps", type=int, default=1_000_000)
     p_run.add_argument("--pipeline-model", default="additive",
                        choices=["additive", "krisc5"],
@@ -540,25 +528,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fail unless the DAG scheduler retried "
                              "at least N tasks (CI chaos guard; pair "
                              "with $REPRO_FAULTS)")
-    p_batch.add_argument("--task-retries", type=int, default=None,
-                        metavar="N",
-                        help="per-task retry budget before a task "
-                             "becomes an error row (default 2)")
-    p_batch.add_argument("--pool-rebuilds", type=int, default=None,
-                        metavar="N",
-                        help="worker-pool rebuilds after pool death "
-                             "before degrading to in-process "
-                             "execution (default 3)")
-    p_batch.add_argument("--scenario", choices=("wcet", "rta"),
-                        default="wcet",
-                        help="sweep kind: per-task WCET matrix "
-                             "(default) or task-set schedulability "
-                             "(orderings x geometries; needs "
-                             "--taskset)")
-    p_batch.add_argument("--taskset", action="append", default=None,
-                        metavar="TASKSET.json",
-                        help="task-set file for --scenario rta "
-                             "(repeatable)")
     p_batch.set_defaults(func=cmd_batch)
 
     p_rta = sub.add_parser(
@@ -639,12 +608,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_an.add_argument("--entry", default=None, metavar="SYMBOL",
                       help="analysis entry symbol (default: program "
                            "entry)")
-    p_an.add_argument("--loop-bound", action="append", default=[],
-                      metavar="ADDR=N",
-                      help="manual bound for a loop header address")
-    p_an.add_argument("--reg-range", action="append", default=[],
-                      metavar="Rk=LO:HI",
-                      help="entry value range annotation")
+    _add_annotation_flags(p_an)
     p_an.add_argument("--label", default=None,
                       help="label reported in result rows")
     p_an.add_argument("--timeout", type=float, default=300.0,

@@ -1,8 +1,8 @@
 """Value analysis by abstract interpretation (phases 2-3 of aiT).
 
-Domains: constant propagation (:class:`Const`), intervals
-(:class:`Interval`), and a relational zone domain
-(:mod:`repro.analysis.zone`, optional).  The fixpoint engine, abstract
+Domains: intervals (:class:`Interval`, the analysis domain), with
+constant propagation (:class:`Const`) and strided intervals
+(:class:`StridedInterval`) as ablations.  The fixpoint engine, abstract
 transfer functions, whole-task value analysis, and loop-bound analysis
 live here.
 """
@@ -11,7 +11,6 @@ from .constprop import Const
 from .domain import AbstractValue, INT_MAX, INT_MIN, to_signed, to_unsigned
 from .interval import Interval
 from .strided import StridedInterval
-from .zone import Zone
 from .loopbounds import (LoopBound, LoopBoundAnalysis, analyze_loop_bounds)
 from .fixpoint import (FixpointKernel, FixpointSemantics, FixpointStats,
                        WeakTopologicalOrder, WTOComponent, WTOVertex,
@@ -27,7 +26,7 @@ from .vectorized import AddressSpace, VectorMemory
 
 __all__ = [
     "Const", "AbstractValue", "INT_MAX", "INT_MIN", "to_signed",
-    "to_unsigned", "Interval", "StridedInterval", "Zone",
+    "to_unsigned", "Interval", "StridedInterval",
     "LoopBound", "LoopBoundAnalysis", "analyze_loop_bounds",
     "FixpointKernel", "FixpointSemantics", "FixpointStats",
     "WeakTopologicalOrder", "WTOComponent", "WTOVertex",

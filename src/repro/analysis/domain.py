@@ -16,7 +16,7 @@ values.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 INT_MIN = -(1 << 31)
 INT_MAX = (1 << 31) - 1
@@ -167,7 +167,3 @@ class AbstractValue(abc.ABC):
         conditions that "always evaluate to true or always evaluate to
         false" (paper, Section 3)."""
         return None
-
-
-class DomainError(ValueError):
-    """An abstract operation was applied to incompatible values."""

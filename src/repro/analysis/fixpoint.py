@@ -32,7 +32,7 @@ harness (``benchmarks/run_perf.py``) records into
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 

@@ -15,7 +15,7 @@ D1 ablation of DESIGN.md.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .domain import AbstractValue, INT_MAX, INT_MIN, to_signed
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..cfg.expand import NodeId, TaskEdge, TaskGraph
+from ..cfg.expand import NodeId, TaskEdge
 from ..cfg.loops import Loop
 from ..isa.instructions import Instruction, Opcode
 from .state import AbstractState

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cfg.expand import NodeId, TaskEdge, TaskGraph
 from ..cfg.loops import LoopForest, find_loops
 from ..isa.instructions import Opcode
-from .domain import AbstractValue
 from .fixpoint import (MAX_TRANSFERS, FixpointKernel, FixpointSemantics,
                        FixpointStats)
 from .state import AbstractState

@@ -16,7 +16,7 @@ concrete semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from ..isa.registers import NUM_REGISTERS, SP
 from .domain import AbstractValue

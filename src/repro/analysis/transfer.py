@@ -11,7 +11,7 @@ excluded from the WCET path analysis (ablation D5).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Type
+from typing import Optional, Type
 
 from ..isa.instructions import Cond, Instruction, Opcode
 from ..isa.registers import LR, SP

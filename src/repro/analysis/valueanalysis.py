@@ -13,13 +13,12 @@ artifacts the later phases need:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Type
 
 from ..cfg.expand import NodeId, TaskEdge, TaskGraph
-from ..domainimpl import resolve_domain_impl
+from ..domainimpl import value_effective_impl
 from ..isa.instructions import Instruction, Opcode
-from ..isa.registers import SP
 from .domain import AbstractValue
 from .interval import Interval
 from .solver import (DEFAULT_NARROWING_PASSES, DEFAULT_WIDEN_DELAY,
@@ -153,32 +152,11 @@ class ValueAnalysisResult:
 
     # -- Queries ---------------------------------------------------------------------
 
-    def state_before(self, node: NodeId,
-                     index: int) -> Optional[AbstractState]:
-        """Abstract state immediately before instruction ``index`` of
-        ``node`` (recomputed on demand from the block entry state)."""
-        entry = self.fixpoint.state_at(node)
-        if entry is None:
-            return None
-        state = entry.copy()
-        for i, instr in enumerate(self.graph.blocks[node]):
-            if i == index:
-                return state
-            state = transfer_instruction(state, instr)
-        raise IndexError(f"block {node!r} has no instruction {index}")
-
     def state_after_block(self, node: NodeId) -> Optional[AbstractState]:
         entry = self.fixpoint.state_at(node)
         if entry is None:
             return None
         return self._walk_block(node, entry)
-
-    def sp_bounds(self, node: NodeId) -> Optional[Tuple[int, int]]:
-        """Stack-pointer bounds at block entry."""
-        state = self.fixpoint.state_at(node)
-        if state is None or state.is_bottom():
-            return None
-        return state.get(SP).signed_bounds()
 
     def precision(self) -> PrecisionStats:
         """Address-determination statistics over all accesses (E2)."""
@@ -191,11 +169,6 @@ class ValueAnalysisResult:
             else:
                 stats.bounded += 1
         return stats
-
-    def is_edge_feasible(self, edge: TaskEdge) -> bool:
-        if not self.fixpoint.reachable(edge.source):
-            return False
-        return edge not in self.infeasible_edges
 
     def reachable_nodes(self) -> List[NodeId]:
         return [node for node in self.graph.nodes()
@@ -224,9 +197,8 @@ def analyze_values(graph: TaskGraph,
     ``strategy`` selects the fixpoint engine: the shared WTO kernel
     (default) or the legacy FIFO worklist (kept for differential
     testing and benchmarking).  ``domain_impl`` selects the domain
-    implementation (:mod:`repro.domainimpl`); the packed-array memory
-    and compiled block transfers are interval-specific, so other
-    domains always run the pure-Python reference implementation.
+    implementation (:func:`repro.domainimpl.value_effective_impl`:
+    domains other than intervals always run the python one).
     ``program`` supplies the binary whose image seeds the entry state;
     it defaults to the graph's own program but MUST be passed when the
     graph may come from a cache keyed on a code slice
@@ -234,9 +206,7 @@ def analyze_values(graph: TaskGraph,
     graph then embeds a predecessor binary whose data sections may be
     stale.
     """
-    impl = resolve_domain_impl(domain_impl)
-    if domain is not Interval:
-        impl = "python"     # VectorMemory packs exactly two bounds/word
+    impl = value_effective_impl(domain, domain_impl)
     if program is None:
         program = graph.binary.program
     memory = VectorMemory(domain, AddressSpace()) \

@@ -32,7 +32,7 @@ arrays in O(1), the first mutation materialises private copies, and
 The packing is interval-specific (two bounds per word), which is why
 :func:`~repro.analysis.valueanalysis.analyze_values` only selects this
 memory for the :class:`Interval` domain and falls back to the dict
-implementation for strided-interval/const/zone domains.
+implementation for the strided-interval and const domains.
 """
 
 from __future__ import annotations

@@ -331,7 +331,6 @@ def _job_identities(name: str, policy_desc: str, model: str, impl: str,
 
 
 def build_sweep_dag(jobs: Sequence[JobSpec], use_cache: bool = True,
-                    domain_impl: Optional[str] = None,
                     plans: Optional[Sequence["JobPlan"]] = None
                     ) -> SweepDAG:
     """Expand a job list into the deduplicated phase-task DAG.
@@ -341,9 +340,10 @@ def build_sweep_dag(jobs: Sequence[JobSpec], use_cache: bool = True,
     policy/model token) become ``build_errors`` entries instead of
     raising, so one bad point cannot take down a sweep.  ``plans`` (one
     per job) are in-process callers' own plans; they share tasks across
-    policies and models only, so must agree on all else.
+    policies and models only, so must agree on all else.  Jobs without
+    plans run the domain implementation the environment selects.
     """
-    impl = resolve_domain_impl(domain_impl)
+    impl = resolve_domain_impl()
     dag = TaskDAG()
     row_nodes: List[Optional[TaskNode]] = []
     job_phase_nodes: List[Dict[str, TaskNode]] = []
@@ -423,10 +423,8 @@ class JobPlan:
         config = options.get("config") or MachineConfig.default()
         if options.get("pipeline_model") is not None:
             config = config.with_model(options["pipeline_model"])
-        impl = options.get("domain_impl")
         self.config = config
-        self.domain_impl = resolve_domain_impl(
-            impl if impl is not None else config.domain_impl)
+        self.domain_impl = resolve_domain_impl(options.get("domain_impl"))
         self.policy_desc = (options.get("context_policy")
                             or DEFAULT_POLICY).describe()
         self.annotated = bool(workload is not None

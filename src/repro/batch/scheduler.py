@@ -53,12 +53,12 @@ from .dag import JobPlan, SweepDAG, TaskNode, build_sweep_dag
 from .jobs import JobSpec
 
 #: Default fault-tolerance budgets: how often one task may fail before
-#: its jobs become error rows, how often a broken pool is rebuilt
-#: before degrading to in-process execution, and the base of the
-#: exponential retry backoff.
+#: its jobs become error rows, and how often a broken pool is rebuilt
+#: before degrading to in-process execution.
 DEFAULT_TASK_RETRIES = 2
 DEFAULT_POOL_REBUILDS = 3
-DEFAULT_RETRY_BACKOFF = 0.05
+#: Base of the exponential retry backoff, in seconds.
+RETRY_BACKOFF_SECONDS = 0.05
 
 
 class JobCancelled(Exception):
@@ -76,7 +76,7 @@ class JobTimeout(Exception):
 # plans and artifact caches are reused across all its tasks.
 
 _PROGRAM_MEMO: Dict[str, Program] = {}
-_PLAN_MEMO: Dict[Tuple[str, str, str, Optional[str]], JobPlan] = {}
+_PLAN_MEMO: Dict[Tuple[str, str, str, str], JobPlan] = {}
 _CACHE_MEMO: Dict[Tuple[Optional[str], Optional[str], Optional[int]],
                   ArtifactCache] = {}
 
@@ -109,11 +109,15 @@ def _worker_cache(cache_dir: Optional[str], salt: Optional[str],
     return cache
 
 
-def _plan_for(spec: JobSpec,
-              domain_impl: Optional[str]) -> Tuple[JobPlan, float]:
+def _plan_for(spec: JobSpec) -> Tuple[JobPlan, float]:
     """The memoised plan of one sweep job, and the seconds this call
-    spent compiling its program (0.0 when the binary was memoised)."""
-    memo_key = (spec.workload, spec.policy, spec.model, domain_impl)
+    spent compiling its program (0.0 when the binary was memoised).
+
+    The plan runs the domain implementation the environment selects;
+    the memo keys on it, so a process that switches implementations
+    never reuses a plan built for the other one."""
+    impl = resolve_domain_impl()
+    memo_key = (spec.workload, spec.policy, spec.model, impl)
     plan = _PLAN_MEMO.get(memo_key)
     compile_seconds = 0.0
     if plan is None:
@@ -127,7 +131,7 @@ def _plan_for(spec: JobSpec,
             program, workload, spec, manual_loop_bounds={},
             context_policy=spec.policy_object(), pipeline_model=spec.model,
             memory_ranges=workload.memory_ranges(program),
-            domain_impl=domain_impl)
+            domain_impl=impl)
     return plan, compile_seconds
 
 
@@ -270,8 +274,8 @@ def _pool_task(payload: Tuple) -> dict:
     """Pool task: one :func:`_execute` against the shared store; a row
     task carries the parent's provenance and timing attribution."""
     faults.worker_task_started()
-    spec, template, cache_dir, salt, limit_bytes, impl, *row = payload
-    plan, _ = _plan_for(spec, impl)
+    spec, template, cache_dir, salt, limit_bytes, *row = payload
+    plan, _ = _plan_for(spec)
     cache = _worker_cache(cache_dir, salt, limit_bytes)
     start = time.perf_counter()
     _, outcome = _execute(_TaskContext(plan, cache), template, row)
@@ -364,10 +368,8 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
             cache_dir: Optional[str] = None,
             salt: Optional[str] = None,
             limit_bytes: Optional[int] = None,
-            domain_impl: Optional[str] = None,
             max_task_retries: int = DEFAULT_TASK_RETRIES,
             max_pool_rebuilds: int = DEFAULT_POOL_REBUILDS,
-            retry_backoff_seconds: float = DEFAULT_RETRY_BACKOFF,
             store: Optional[ArtifactCache] = None,
             cancel: Optional[threading.Event] = None,
             deadline: Optional[float] = None
@@ -380,7 +382,7 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
     ``cache_dir``; in-process tasks use ``store`` (default: this
     process's cache for ``cache_dir``, if any).  A task that errors is
     retried up to ``max_task_retries`` times with exponential backoff
-    (``retry_backoff_seconds * 2**attempt``) before failing its jobs;
+    (``RETRY_BACKOFF_SECONDS * 2**attempt``) before failing its jobs;
     a dead pool is rebuilt up to ``max_pool_rebuilds`` times, and past
     that budget the rest runs in-process (degraded mode).  ``cancel``
     (an event) and ``deadline`` (a :func:`time.monotonic` instant) are
@@ -388,7 +390,6 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
     :class:`JobTimeout`.
     """
     start = time.perf_counter()
-    impl = resolve_domain_impl(domain_impl)
     if store is None and cache_dir is not None:
         store = _worker_cache(cache_dir, salt, limit_bytes)
     dag = sweep.dag
@@ -408,7 +409,7 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
         row = row_attribution(job_index_of(node)) if node.kind == "row" \
             else ()
         return (node.spec, node.template, cache_dir, salt, limit_bytes,
-                impl, *row)
+                *row)
 
     def check_abort() -> None:
         if cancel is not None and cancel.is_set():
@@ -438,7 +439,7 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
             return
         attempts[node.index] = count + 1
         stats.retries += 1
-        delay = retry_backoff_seconds * (2 ** count)
+        delay = RETRY_BACKOFF_SECONDS * (2 ** count)
         heapq.heappush(deferred, (time.monotonic() + delay,
                                   next(deferred_seq), node))
 
@@ -486,7 +487,7 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
             if job_index not in contexts:
                 plan, compile_seconds = (
                     (sweep.plans[job_index], 0.0) if sweep.plans
-                    else _plan_for(sweep.jobs[job_index], impl))
+                    else _plan_for(sweep.jobs[job_index]))
                 contexts[job_index] = (
                     _TaskContext(plan, store,
                                  sweep.job_phase_nodes[job_index]),

@@ -19,7 +19,7 @@ All three are finite lattices, so the cache fixpoint needs no widening.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from .config import CacheConfig
 
@@ -224,9 +224,6 @@ class PersistenceCache:
         """Possibly evicted since first load?"""
         age = self.ages.get(line)
         return age is not None and age >= self.config.associativity
-
-    def is_tracked(self, line: int) -> bool:
-        return line in self.ages
 
     def access(self, line: int) -> None:
         assoc = self.config.associativity

@@ -11,12 +11,11 @@ ablation D4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..cfg.expand import NodeId, TaskGraph
 from ..domainimpl import resolve_domain_impl
-from ..isa.instructions import Instruction
 from .abstract import Classification, TripleCacheState
 from .config import CacheConfig
 from .vectorized import (CacheLineIndex, VectorTripleCacheState,

@@ -13,9 +13,6 @@ identifies as the source of execution-history-dependent timing
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
-from ..domainimpl import DOMAIN_IMPLS
 
 
 @dataclass(frozen=True)
@@ -87,13 +84,6 @@ class MachineConfig:
     states the krisc5 *analysis* tracks per program point (the concrete
     simulator is unaffected): smaller caps merge entry states earlier,
     trading bound tightness for analysis time.
-
-    ``domain_impl`` pins the abstract-domain implementation
-    (``python``/``numpy``, see :mod:`repro.domainimpl`) for analyses
-    run under this configuration; ``None`` defers to the environment
-    (``$REPRO_DOMAIN_IMPL``) and the built-in default.  Both
-    implementations produce bit-identical bounds — this knob exists
-    for differential testing and benchmarking.
     """
 
     icache: CacheConfig = field(default_factory=CacheConfig)
@@ -103,7 +93,6 @@ class MachineConfig:
     load_use_stall: int = 1
     pipeline_model: str = "additive"
     pipeline_state_cap: int = 8
-    domain_impl: Optional[str] = None
 
     def __post_init__(self):
         if self.pipeline_model not in PIPELINE_MODELS:
@@ -112,11 +101,6 @@ class MachineConfig:
                 f"expected one of {', '.join(PIPELINE_MODELS)}")
         if self.pipeline_state_cap < 1:
             raise ValueError("pipeline_state_cap must be at least 1")
-        if self.domain_impl is not None \
-                and self.domain_impl not in DOMAIN_IMPLS:
-            raise ValueError(
-                f"unknown domain implementation {self.domain_impl!r}; "
-                f"expected one of {', '.join(DOMAIN_IMPLS)}")
 
     @classmethod
     def default(cls) -> "MachineConfig":

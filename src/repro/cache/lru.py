@@ -7,7 +7,7 @@ exactly this behaviour (checked by property tests).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .config import CacheConfig
 
@@ -56,11 +56,6 @@ class LRUCache:
             return cache_set.index(line)
         except ValueError:
             return None
-
-    def contents(self) -> Dict[int, List[int]]:
-        """Snapshot: set index -> lines, most recent first."""
-        return {index: list(lines)
-                for index, lines in enumerate(self._sets) if lines}
 
     @property
     def accesses(self) -> int:

@@ -15,8 +15,8 @@ branch is a hard reconstruction error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..isa.encoding import DecodingError
 from ..isa.instructions import Instruction, Opcode
@@ -40,12 +40,6 @@ class BinaryCFG:
     @property
     def entry_function(self) -> FunctionCFG:
         return self.functions[self.entry]
-
-    def function_by_name(self, name: str) -> FunctionCFG:
-        for function in self.functions.values():
-            if function.name == name:
-                return function
-        raise KeyError(f"no function named {name!r}")
 
     def total_blocks(self) -> int:
         return sum(len(f.blocks) for f in self.functions.values())

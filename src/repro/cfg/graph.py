@@ -69,13 +69,6 @@ class BasicBlock:
     def is_return_block(self) -> bool:
         return self.last.is_return
 
-    @property
-    def call_target(self) -> Optional[int]:
-        """Static callee entry address if this block ends in ``BL``."""
-        if self.last.opcode is Opcode.BL:
-            return self.last.branch_target()
-        return None
-
     def __len__(self) -> int:
         return len(self.instructions)
 
@@ -132,10 +125,6 @@ class FunctionCFG:
         """Blocks ending in a call, in address order."""
         return sorted((b for b in self.blocks.values() if b.is_call_block),
                       key=lambda b: b.start)
-
-    def block_order(self) -> List[BasicBlock]:
-        """Blocks in ascending address order."""
-        return [self.blocks[a] for a in sorted(self.blocks)]
 
     def reverse_postorder(self) -> List[int]:
         """Block start addresses in reverse postorder from the entry."""

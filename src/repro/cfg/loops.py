@@ -68,15 +68,6 @@ class LoopForest:
     def loop_of_header(self, header: Node) -> Optional[Loop]:
         return self._by_header.get(header)
 
-    def innermost_containing(self, node: Node) -> Optional[Loop]:
-        """The deepest loop whose body contains ``node``."""
-        best: Optional[Loop] = None
-        for loop in self.loops:
-            if node in loop.body:
-                if best is None or loop.depth > best.depth:
-                    best = loop
-        return best
-
     def headers(self) -> Set[Node]:
         return set(self._by_header)
 

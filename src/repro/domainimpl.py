@@ -11,11 +11,11 @@ block transfer):
 
 Both produce bit-identical analysis results (pinned by the golden-bounds
 matrix and the hypothesis lockstep suite in
-``tests/test_vectorized_domains.py``); they differ only in speed.  The
-implementation is chosen, in decreasing precedence, by an explicit
-``domain_impl`` argument (CLI ``--domain-impl``), the
-:class:`~repro.cache.config.MachineConfig` field, the
-``REPRO_DOMAIN_IMPL`` environment variable, and finally the default.
+``tests/test_vectorized_domains.py``); they differ only in speed.  This
+module alone decides which one executes: an explicit ``domain_impl``
+argument (:func:`repro.wcet.analyze_wcet`) wins, then the
+``REPRO_DOMAIN_IMPL`` environment variable, then the default.  Pool
+workers inherit the environment of the process that starts them.
 """
 
 from __future__ import annotations
@@ -48,6 +48,22 @@ def resolve_domain_impl(value: Optional[str] = None) -> str:
     if chosen not in DOMAIN_IMPLS:
         raise ValueError(
             f"unknown domain implementation {chosen!r}; expected one of "
-            f"{', '.join(DOMAIN_IMPLS)} (via --domain-impl, "
-            f"MachineConfig.domain_impl, or ${DOMAIN_IMPL_ENV})")
+            f"{', '.join(DOMAIN_IMPLS)} (via domain_impl= or "
+            f"${DOMAIN_IMPL_ENV})")
     return chosen
+
+
+def value_effective_impl(domain: type, value: Optional[str] = None) -> str:
+    """The implementation the value phase executes for ``domain``.
+
+    The packed-array memory and compiled block transfers hold exactly
+    two bounds per word, so only the
+    :class:`~repro.analysis.interval.Interval` domain runs ``numpy``;
+    every other domain runs ``python``.  The value phase's cache key
+    names this implementation, so cached states (which embed their
+    memory representation) never mix.
+    """
+    from .analysis.interval import Interval
+
+    impl = resolve_domain_impl(value)
+    return impl if domain is Interval else "python"

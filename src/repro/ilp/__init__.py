@@ -8,7 +8,7 @@ tableau (:func:`solve_lp_dense`) is retained as the differential-test
 oracle.
 """
 
-from .branchbound import BranchStats, solve_ilp
+from .branchbound import solve_ilp
 from .dense import solve_lp_dense
 from .model import (Constraint, InfeasibleError, LinearProgram, Sense,
                     Solution, UnboundedError, Variable)
@@ -17,7 +17,7 @@ from .simplex import solve_lp
 from .stats import ILPStats
 
 __all__ = [
-    "BranchStats", "solve_ilp", "Constraint", "InfeasibleError",
+    "solve_ilp", "Constraint", "InfeasibleError",
     "LinearProgram", "Sense", "Solution", "UnboundedError", "Variable",
     "solve_lp", "solve_lp_dense", "ILPStats", "PresolvedLP", "presolve",
 ]

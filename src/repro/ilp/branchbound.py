@@ -17,7 +17,6 @@ stalls numerically fall back to a cold solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -30,48 +29,39 @@ from .stats import ILPStats
 _INT_TOLERANCE = 1e-6
 
 
-@dataclass
-class BranchStats:
-    """Search statistics for diagnostics."""
-
-    nodes_explored: int = 0
-    depth_reached: int = 0
-
-
 def solve_ilp(program: LinearProgram, max_nodes: int = 10_000,
-              stats: Optional[ILPStats] = None
-              ) -> Tuple[Solution, BranchStats]:
+              stats: Optional[ILPStats] = None) -> Solution:
     """Maximise ``program`` with integrality on its integer variables.
 
-    Depth-first branch and bound with best-bound pruning.  Raises
-    ``RuntimeError`` if the node budget is exhausted (callers can then
-    fall back to the relaxation bound, which is sound for WCET).
+    Depth-first branch and bound with best-bound pruning; the nodes it
+    explores are counted in ``stats.bb_nodes``.  Raises
+    ``RuntimeError`` if more than ``max_nodes`` nodes are needed
+    (callers can then fall back to the relaxation bound, which is
+    sound for WCET).
     """
     stats = stats if stats is not None else ILPStats()
-    bstats = BranchStats()
 
     pre = presolve(program, stats, integral=True)
     if pre.status == "infeasible":
-        return Solution("infeasible"), bstats
+        return Solution("infeasible")
     if pre.num_rows == 0:
         if pre.unbounded_pending:
-            return Solution("unbounded"), bstats
+            return Solution("unbounded")
         if pre.fractional_int_fix:
-            return Solution("infeasible"), bstats
-        bstats.nodes_explored = 1
+            return Solution("infeasible")
         stats.bb_nodes += 1
-        return _rounded(program, pre.postsolve(())), bstats
+        return _rounded(program, pre.postsolve(()))
 
     core = CoreLP(pre)
     simplex = RevisedSimplex(core, stats)
     status = simplex.solve_two_phase()
     stats.cold_solves += 1
     if status != "optimal":
-        return Solution(status), bstats
+        return Solution(status)
     if pre.unbounded_pending:
-        return Solution("unbounded"), bstats
+        return Solution("unbounded")
     if pre.fractional_int_fix:
-        return Solution("infeasible"), bstats
+        return Solution("infeasible")
 
     int_cols = np.flatnonzero(pre.is_integer)
 
@@ -79,17 +69,17 @@ def solve_ilp(program: LinearProgram, max_nodes: int = 10_000,
     incumbent_vals: Optional[np.ndarray] = None
 
     # Each node: cumulative original-space bound overrides for branched
-    # columns, the parent's basis snapshot (None = root, already solved
-    # in ``simplex``), and the branching depth.
-    Node = Tuple[Dict[int, Tuple[float, float]], Optional[tuple], int]
-    stack = [({}, None, 0)]  # type: list[Node]
+    # columns, and the parent's basis snapshot (None = root, already
+    # solved in ``simplex``).
+    Node = Tuple[Dict[int, Tuple[float, float]], Optional[tuple]]
+    stack = [({}, None)]  # type: list[Node]
+    nodes = 0
 
     while stack:
-        delta, snap, depth = stack.pop()
-        bstats.nodes_explored += 1
+        delta, snap = stack.pop()
+        nodes += 1
         stats.bb_nodes += 1
-        bstats.depth_reached = max(bstats.depth_reached, depth)
-        if bstats.nodes_explored > max_nodes:
+        if nodes > max_nodes:
             raise RuntimeError("branch-and-bound node budget exhausted")
 
         if snap is None:
@@ -133,15 +123,15 @@ def solve_ilp(program: LinearProgram, max_nodes: int = 10_000,
             col, (float(pre.lower[col]), float(pre.upper[col])))
         parent_snap = simplex.snapshot()
         stack.append(({**delta, col: (float(math.ceil(value)), cur_hi)},
-                      parent_snap, depth + 1))
+                      parent_snap))
         stack.append(({**delta, col: (cur_lo, float(math.floor(value)))},
-                      parent_snap, depth + 1))
+                      parent_snap))
 
     if incumbent_vals is None:
-        return Solution("infeasible"), bstats
+        return Solution("infeasible")
     solution = pre.postsolve(incumbent_vals)
     return Solution("optimal", incumbent_obj,
-                    _rounded(program, solution).values), bstats
+                    _rounded(program, solution).values)
 
 
 def _rounded(program: LinearProgram, solution: Solution) -> Solution:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .model import LinearProgram, Solution
-from .presolve import PresolvedLP, presolve
+from .presolve import presolve
 from .revised import CoreLP, RevisedSimplex
 from .stats import ILPStats
 

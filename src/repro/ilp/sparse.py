@@ -12,7 +12,7 @@ matrix itself.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -50,10 +50,6 @@ class SparseMatrix:
         self.cols = cols
         self.vals = vals
         self.col_ptr = np.searchsorted(self.cols, np.arange(n + 1))
-
-    @property
-    def nnz(self) -> int:
-        return len(self.vals)
 
     # -- Column access -------------------------------------------------------
 

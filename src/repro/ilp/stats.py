@@ -80,13 +80,3 @@ class ILPStats:
             "cold_solves": self.cold_solves,
         }
 
-    def __str__(self) -> str:
-        return (f"{self.pivots} pivots "
-                f"({self.phase1_pivots} p1 / {self.phase2_pivots} p2 / "
-                f"{self.dual_pivots} dual; {self.bound_flips} bound flips, "
-                f"{self.bland_pivots} Bland, "
-                f"{self.refactorizations} refactorizations), presolve "
-                f"-{self.presolve_rows_removed} rows / "
-                f"-{self.presolve_cols_removed} cols, "
-                f"{self.bb_nodes} B&B nodes "
-                f"({self.warm_start_hits} warm)")

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .encoding import INSTRUCTION_SIZE, encode_to_bytes
 from .instructions import Cond, Format, Instruction, OPCODE_FORMATS, Opcode
-from .program import DATA_BASE, MemoryMap, Program, Section, TEXT_BASE
+from .program import MemoryMap, Program, Section
 from .registers import parse_register
 
 

@@ -27,7 +27,7 @@ semantics of :meth:`Instruction.branch_target`.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Optional
+from typing import Optional
 
 from .instructions import Cond, Format, Instruction, OPCODE_FORMATS, Opcode
 
@@ -222,11 +222,3 @@ def decode_from_bytes(data: bytes, address: Optional[int] = None
         raise DecodingError("truncated instruction", address)
     (word,) = _WORD.unpack_from(data)
     return decode(word, address)
-
-
-def iter_decode(data: bytes, base_address: int = 0
-                ) -> Iterator[Instruction]:
-    """Decode a contiguous code region, yielding one instruction per word."""
-    for offset in range(0, len(data) - len(data) % 4, INSTRUCTION_SIZE):
-        (word,) = _WORD.unpack_from(data, offset)
-        yield decode(word, base_address + offset)

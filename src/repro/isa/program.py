@@ -10,7 +10,7 @@ ground-truth execution are guaranteed to see the same bytes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .encoding import INSTRUCTION_SIZE, DecodingError, decode_from_bytes
@@ -196,9 +196,6 @@ class Program:
     def section(self, name: str) -> Section:
         return self._by_name[name]
 
-    def has_section(self, name: str) -> bool:
-        return name in self._by_name
-
     def section_at(self, address: int) -> Optional[Section]:
         """The section containing ``address``, if any."""
         for section in self.sections:
@@ -225,12 +222,6 @@ class Program:
             if value == address:
                 return name
         return None
-
-    def function_symbols(self) -> Dict[str, int]:
-        """Symbols that point into the code section."""
-        text = self.text
-        return {name: addr for name, addr in self.symbols.items()
-                if text.contains(addr)}
 
     # -- Instruction access ----------------------------------------------
 
@@ -566,9 +557,3 @@ def _scan_function(program: Program, start: int, end: int) -> FunctionSlice:
         callees=tuple(sorted(callees)),
         indirect_sites=tuple(sorted(indirect)),
         conservative=conservative)
-
-
-def word_range(start: int, end: int) -> Iterator[int]:
-    """Word-aligned addresses in ``[start, end)``."""
-    aligned = start - start % 4
-    return iter(range(aligned, end, 4))

@@ -23,7 +23,7 @@ analysis sees it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from . import ast

@@ -6,7 +6,7 @@ from typing import Optional
 
 from ..isa.assembler import assemble
 from ..isa.program import MemoryMap, Program
-from .codegen import Codegen, CodegenError
+from .codegen import Codegen
 from .parser import parse
 
 

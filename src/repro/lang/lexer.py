@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 KEYWORDS = frozenset({
     "int", "void", "if", "else", "while", "for", "do", "return",

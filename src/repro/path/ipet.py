@@ -28,7 +28,7 @@ from ..analysis.loopbounds import LoopBound
 from ..analysis.valueanalysis import ValueAnalysisResult
 from ..cfg.expand import NodeId, TaskEdge, TaskGraph
 from ..cfg.graph import EdgeKind
-from ..ilp.model import LinearProgram, Sense, Solution
+from ..ilp.model import LinearProgram, Sense
 from ..ilp.branchbound import solve_ilp
 from ..ilp.simplex import solve_lp
 from ..ilp.stats import ILPStats
@@ -107,7 +107,7 @@ class PathAnalysis:
         integral = relaxation.is_integral()
         if integer and not integral:
             ilp_stats = ILPStats()
-            solution, _bstats = solve_ilp(program, stats=ilp_stats)
+            solution = solve_ilp(program, stats=ilp_stats)
             stats.absorb(ilp_stats)
             integral = True
 

@@ -34,8 +34,8 @@ executions of a conditional branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.fixpoint import (FixpointKernel, FixpointSemantics,
                                  FixpointStats)
@@ -44,11 +44,9 @@ from ..cache.analysis import DCacheResult, ICacheResult
 from ..cache.config import MachineConfig
 from ..cfg.expand import NodeId, TaskEdge, TaskGraph
 from ..cfg.graph import EdgeKind
-from ..isa.instructions import Instruction, Opcode
+from ..isa.instructions import Opcode
 from .states import (PipeState, PipeStateSet, StateSetStats,
-                     UNCONDITIONAL_TRANSFERS, walk_block)
-
-_UNCONDITIONAL_TRANSFERS = UNCONDITIONAL_TRANSFERS
+                     UNCONDITIONAL_TRANSFERS, loads_registers, walk_block)
 
 
 @dataclass
@@ -143,11 +141,12 @@ class PipelineAnalysis:
         # Intra-block load-use stalls.
         instructions = block.instructions
         for current, following in zip(instructions, instructions[1:]):
-            if _loads_registers(current) & set(following.read_registers()):
+            if set(following.read_registers()).intersection(
+                    loads_registers(current)):
                 base += config.load_use_stall
 
         # Unconditional control transfers always pay the redirect.
-        if block.last.opcode in _UNCONDITIONAL_TRANSFERS:
+        if block.last.opcode in UNCONDITIONAL_TRANSFERS:
             base += config.branch_penalty
 
         return BlockTiming(node, base, onetime)
@@ -159,7 +158,7 @@ class PipelineAnalysis:
         costs: Dict[Tuple[NodeId, NodeId, EdgeKind], int] = {}
         for node in self.graph.nodes():
             block = self.graph.blocks[node]
-            pending = _loads_registers(block.last)
+            pending = loads_registers(block.last)
             for edge in self.graph.successors(node):
                 cost = 0
                 # Taken conditional branches pay the redirect penalty.
@@ -170,21 +169,11 @@ class PipelineAnalysis:
                 if pending:
                     successor = self.graph.blocks[edge.target]
                     first = successor.instructions[0]
-                    if pending & set(first.read_registers()):
+                    if set(first.read_registers()).intersection(pending):
                         cost += config.load_use_stall
                 if cost:
                     costs[(edge.source, edge.target, edge.kind)] = cost
         return costs
-
-
-def _loads_registers(instr: Instruction) -> Set[int]:
-    """Registers written by a load in ``instr`` (pending-load hazard
-    sources)."""
-    if instr.opcode in (Opcode.LDR, Opcode.LDRX):
-        return {instr.rd}
-    if instr.opcode is Opcode.POP:
-        return set(instr.reglist)
-    return set()
 
 
 # -- krisc5: abstract pipeline-state analysis ------------------------------------

@@ -8,7 +8,7 @@ with ``dot -Tsvg``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..cfg.graph import EdgeKind
 from ..wcet.ait import WCETResult

@@ -100,9 +100,15 @@ def rows_to_golden(rows: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 def save_golden(path: str, rows: Sequence[Dict[str, Any]]) -> None:
+    """Pin the rows' cells in ``path``, keeping the cells an existing
+    file holds for task sets or geometries this sweep did not cover."""
+    try:
+        golden = load_golden(path)
+    except FileNotFoundError:
+        golden = {}
+    golden.update(rows_to_golden(rows))
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(rows_to_golden(rows), handle, indent=2,
-                  sort_keys=True)
+        json.dump(golden, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 

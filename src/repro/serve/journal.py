@@ -23,7 +23,7 @@ import os
 import re
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: Job statuses that no longer change (safe to evict from memory; a
 #: replayed journal never resumes them).
@@ -111,8 +111,3 @@ class JobJournal:
                          "error": "server restarted while the job "
                                   "was in flight",
                          "time": time.time()})
-
-
-def load_journal(directory: Optional[str]) -> Optional[JobJournal]:
-    """Open a journal when a directory is configured, else ``None``."""
-    return JobJournal(directory) if directory else None

@@ -11,7 +11,7 @@ the maximum stack usage is ever observed".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Type
 
 from ..analysis.domain import AbstractValue

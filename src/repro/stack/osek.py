@@ -17,9 +17,8 @@ ordinary high-priority entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ The concrete runs are always simulated under the *same*
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..cache.abstract import Classification
 from ..isa.program import Program

@@ -27,8 +27,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Type)
 
 from ..analysis.domain import AbstractValue
-from ..domainimpl import resolve_domain_impl
-from ..analysis.fixpoint import FixpointStats
+from ..domainimpl import resolve_domain_impl, value_effective_impl
 from ..analysis.interval import Interval
 from ..analysis.loopbounds import LoopBound, analyze_loop_bounds
 from ..analysis.valueanalysis import ValueAnalysisResult, analyze_values
@@ -248,20 +247,6 @@ def material_path(cfg_key: str, pipeline_key: str, loopbounds_key: str,
             f"|infeasible={use_infeasible_paths}|integer={integer}")
 
 
-def value_effective_impl(domain: Type[AbstractValue],
-                         impl: Optional[str]) -> str:
-    """The domain implementation the value phase actually executes.
-
-    Non-interval domains always run the python implementation; keying
-    the artifact by the executing implementation keeps cached states
-    (which embed their memory representation) from mixing.
-    """
-    effective = resolve_domain_impl(impl)
-    if domain is not Interval:
-        effective = "python"
-    return effective
-
-
 def phase_plan(program: Program,
                config: Optional[MachineConfig] = None,
                entry: Optional[int] = None,
@@ -291,8 +276,7 @@ def phase_plan(program: Program,
     if pipeline_model is not None:
         config = config.with_model(pipeline_model)
     policy = context_policy or DEFAULT_POLICY
-    impl = resolve_domain_impl(
-        domain_impl if domain_impl is not None else config.domain_impl)
+    impl = resolve_domain_impl(domain_impl)
     value_impl = value_effective_impl(domain, impl)
 
     def compute_cfg(deps):
@@ -411,8 +395,7 @@ def build_wcet_result(program: Program, config: MachineConfig,
 def analyze_loop_annotations(program: Program,
                              memory_ranges: Optional[
                                  Dict[int, Tuple[int, int]]] = None,
-                             phase_cache=None,
-                             domain_impl: Optional[str] = None
+                             phase_cache=None
                              ) -> Dict[NodeId, LoopBound]:
     """The *discover* half of aiT's annotate workflow: run the
     default-parameter cfg/value/loopbounds prefix of the pipeline and
@@ -423,8 +406,7 @@ def analyze_loop_annotations(program: Program,
     from ..batch.dag import JobPlan
     from ..batch.scheduler import run_plans
 
-    plan = JobPlan(program, phases=PHASES[:3], memory_ranges=memory_ranges,
-                   domain_impl=domain_impl)
+    plan = JobPlan(program, phases=PHASES[:3], memory_ranges=memory_ranges)
     return run_plans([plan], store=phase_cache)[1].artifact(0, "loopbounds")
 
 
@@ -478,10 +460,10 @@ def analyze_wcet(program: Program,
     results.
 
     ``domain_impl`` selects the abstract-domain implementation
-    (``python``/``numpy``) for the value and cache phases; the explicit
-    argument wins over ``config.domain_impl``, which wins over
-    ``$REPRO_DOMAIN_IMPL``.  ``profile=True`` wraps each phase in a
-    ``cProfile`` run, collected in :attr:`WCETResult.profiles`.
+    (``python``/``numpy``) for the value and cache phases; ``None``
+    defers to ``$REPRO_DOMAIN_IMPL`` (:mod:`repro.domainimpl`).
+    ``profile=True`` wraps each phase in a ``cProfile`` run, collected
+    in :attr:`WCETResult.profiles`.
     """
     from ..batch.dag import JobPlan
     from ..batch.scheduler import run_plans

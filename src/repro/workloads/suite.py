@@ -249,8 +249,7 @@ def sweep_suite(matrix: str = "all:all:all",
                 cache_dir: Optional[str] = None,
                 use_cache: bool = True,
                 jsonl_path: Optional[str] = None,
-                cache_limit_mb: Optional[float] = None,
-                **scheduler_options):
+                cache_limit_mb: Optional[float] = None):
     """Run a workload-suite sweep through the batch engine.
 
     The sweep entry point the ``repro batch`` CLI (and through it the
@@ -263,8 +262,7 @@ def sweep_suite(matrix: str = "all:all:all",
     return run_sweep(expand_matrix(matrix), parallel=parallel,
                      cache_dir=cache_dir, use_cache=use_cache,
                      jsonl_path=jsonl_path,
-                     cache_limit_mb=cache_limit_mb,
-                     **scheduler_options)
+                     cache_limit_mb=cache_limit_mb)
 
 
 # -- Simulation with input randomisation ----------------------------------------

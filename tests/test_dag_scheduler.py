@@ -294,7 +294,7 @@ class TestFailureHandling:
         # in-flight job dies), not just the task.
         outcome = dag_scheduler._pool_task(
             (JobSpec("fibcall", "full", "additive"), "no-such-phase",
-             None, None, None, None))
+             None, None, None))
         assert "KeyError" in outcome["error"]
         assert "row" not in outcome
 

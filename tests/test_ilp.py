@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ilp import LinearProgram, Sense, solve_ilp, solve_lp
+from repro.ilp import ILPStats, LinearProgram, Sense, solve_ilp, solve_lp
 
 
 def build(num_vars, objective, constraints, upper=None, integer=True):
@@ -143,15 +143,16 @@ class TestBranchAndBound:
             ([1, 1], Sense.LE, 4),
             ([1, 0], Sense.LE, 2),
         ])
-        solution, stats = solve_ilp(program)
+        stats = ILPStats()
+        solution = solve_ilp(program, stats=stats)
         assert solution.is_optimal
         assert solution.objective == pytest.approx(10)
-        assert stats.nodes_explored == 1
+        assert stats.bb_nodes == 1
 
     def test_fractional_relaxation_branches(self):
         # max x + y st 2x + 2y <= 5: LP optimum 2.5, ILP optimum 2.
         program = build(2, [1, 1], [([2, 2], Sense.LE, 5)])
-        solution, _stats = solve_ilp(program)
+        solution = solve_ilp(program)
         assert solution.is_optimal
         assert solution.objective == pytest.approx(2)
         assert solution.is_integral()
@@ -160,7 +161,7 @@ class TestBranchAndBound:
         # Classic 0/1 knapsack: values 10,13,7; weights 3,4,2; cap 6.
         program = build(3, [10, 13, 7], [([3, 4, 2], Sense.LE, 6)],
                         upper=[1, 1, 1])
-        solution, _stats = solve_ilp(program)
+        solution = solve_ilp(program)
         assert solution.objective == pytest.approx(20)   # items 2+3
 
     def test_infeasible_ilp(self):
@@ -168,7 +169,7 @@ class TestBranchAndBound:
             ([2], Sense.GE, 1),
             ([2], Sense.LE, 1),
         ])
-        solution, _stats = solve_ilp(program)
+        solution = solve_ilp(program)
         assert solution.status == "infeasible"
 
     @given(st.data())
@@ -184,7 +185,7 @@ class TestBranchAndBound:
 
         program = build(num_vars, objective, [(row, Sense.LE, rhs)],
                         upper=upper)
-        mine, _stats = solve_ilp(program)
+        mine = solve_ilp(program)
 
         result = milp(
             c=[-c for c in objective],

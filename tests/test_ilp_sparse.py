@@ -276,7 +276,7 @@ class TestResidualRefactorization:
             ([1, 2], Sense.LE, 6),
         ])
         stats = ILPStats()
-        solution, _bstats = solve_ilp(program, stats=stats)
+        solution = solve_ilp(program, stats=stats)
         assert stats.warm_start_hits >= 1 and stats.dual_pivots >= 1
         assert stats.refactorizations >= stats.warm_start_hits
         assert solution.objective == pytest.approx(20, abs=1e-9)
@@ -342,7 +342,7 @@ class TestPresolve:
         program = build(1, [1], [([2], Sense.LE, 5)], upper=[9])
         relaxed = solve_lp(program)
         assert relaxed.objective == pytest.approx(2.5)
-        solution, _stats = solve_ilp(program)
+        solution = solve_ilp(program)
         assert solution.objective == pytest.approx(2)
 
 
@@ -355,10 +355,9 @@ class TestWarmStartedBranchAndBound:
             ([4, 1, 2], Sense.LE, 11),
         ], upper=[3, 3, 3])
         stats = ILPStats()
-        solution, bstats = solve_ilp(program, stats=stats)
+        solution = solve_ilp(program, stats=stats)
         assert solution.is_optimal
         assert solution.is_integral()
-        assert bstats.nodes_explored == stats.bb_nodes
         if stats.bb_nodes > 1:
             assert stats.warm_start_hits + stats.cold_solves \
                 >= stats.bb_nodes
@@ -408,7 +407,6 @@ class TestSolverStatsPlumbing:
                         f"{stats.bland_pivots} Bland pivots",
                         f"{stats.refactorizations} refactorizations"):
             assert counter in solver_line
-        assert f"{stats.refactorizations} refactorizations" in str(stats)
 
 
 class TestLargeProgramGenerator:

@@ -626,6 +626,12 @@ class TestSweep:
         missing = compare_with_golden(
             [{**rows[0], "ordering": "reverse"}], golden)
         assert missing == ["s|reverse|4x2x16: no golden verdict"]
+        # A second save merges: the first save's cell stays pinned.
+        other = [{**rows[0], "geometry": "8x2x16"}]
+        save_golden(str(path), other)
+        merged = load_golden(str(path))
+        assert sorted(merged) == ["s|given|4x2x16", "s|given|8x2x16"]
+        assert compare_with_golden(rows + other, merged) == []
 
     def test_golden_file_covers_the_fixture_sweep(self):
         golden = load_golden(GOLDEN_PATH)

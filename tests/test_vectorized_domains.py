@@ -21,7 +21,7 @@ from repro.analysis import (AbstractMemory, AbstractState, AddressSpace,
                             Interval, VectorMemory, compile_block,
                             transfer_block)
 from repro.cache.abstract import Classification, TripleCacheState
-from repro.cache.config import CacheConfig, MachineConfig
+from repro.cache.config import CacheConfig
 from repro.cache.vectorized import (CacheLineIndex, VectorTripleCacheState,
                                     apply_access, classify_access,
                                     compile_access, compile_block_accesses)
@@ -332,12 +332,6 @@ def test_resolve_domain_impl_precedence(monkeypatch):
         resolve_domain_impl()
 
 
-def test_machine_config_validates_domain_impl():
-    assert MachineConfig(domain_impl="python").domain_impl == "python"
-    with pytest.raises(ValueError):
-        MachineConfig(domain_impl="fortran")
-
-
 def test_phase_cache_keys_distinguish_impls(tmp_path):
     """Artifact-cache keys must incorporate the implementation so a
     python-impl artifact is never served to a numpy-impl run."""
@@ -383,7 +377,7 @@ def test_env_toggle_drives_analysis(monkeypatch):
     assert analyze_wcet(program).domain_impl == "python"
     monkeypatch.delenv(DOMAIN_IMPL_ENV)
     assert analyze_wcet(program).domain_impl == DEFAULT_DOMAIN_IMPL
-    # MachineConfig pins the impl regardless of the environment.
+    # An explicit argument beats the environment.
     monkeypatch.setenv(DOMAIN_IMPL_ENV, "numpy")
-    config = MachineConfig(domain_impl="python")
-    assert analyze_wcet(program, config=config).domain_impl == "python"
+    assert analyze_wcet(program, domain_impl="python").domain_impl \
+        == "python"

@@ -117,8 +117,25 @@ class TestCLI:
         path.write_text(INPUT_TASK)
         assert cli_main(["wcet", str(path),
                          "--reg-range", "R0=1:20"]) == 0
-        output = capsys.readouterr().out
-        assert "WCET BOUND" in output
+        expected = analyze_wcet(assemble(INPUT_TASK),
+                                register_ranges={0: (1, 20)})
+        assert f"WCET BOUND: {expected.wcet_cycles} cycles" \
+            in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["wcet", "--reg-range", "R0=5"], "--reg-range"),
+        (["wcet", "--reg-range", "R0"], "--reg-range"),
+        (["wcet", "--loop-bound", "0x10=abc"], "--loop-bound"),
+        (["run", "--reg", "Rx=1"], "--reg"),
+    ], ids=["range-without-hi", "range-without-value", "bound-not-int",
+            "unknown-register"])
+    def test_malformed_annotation_is_usage_error(self, c_file, capsys,
+                                                 argv, flag):
+        command, *flags = argv
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command, c_file, *flags])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: expected" in capsys.readouterr().err
 
     def test_wcet_manual_loop_bound(self, tmp_path, capsys):
         path = tmp_path / "input.s"
