@@ -9,8 +9,7 @@ changed.  CI, the perf harness, the workload suite, and the
 """
 
 from .cachestore import ArtifactCache, code_version_salt
-from .dag import (DAGCycleError, JobPlan, SweepDAG, TaskDAG, TaskNode,
-                  build_sweep_dag)
+from .dag import JobPlan, SweepDAG, TaskDAG, TaskNode, build_sweep_dag
 from .engine import SweepResult, run_sweep
 from .golden import (compare_rows, flatten_golden, golden_from_rows,
                      load_golden, merge_golden, save_golden)
@@ -18,9 +17,9 @@ from .jobs import ALL_POLICIES, JobSpec, expand_matrix, parse_policy
 from .scheduler import SchedulerStats, clear_process_caches, run_dag
 
 __all__ = [
-    "ALL_POLICIES", "ArtifactCache", "DAGCycleError", "JobPlan",
-    "JobSpec", "SchedulerStats", "SweepDAG", "SweepResult", "TaskDAG",
-    "TaskNode", "build_sweep_dag", "clear_process_caches",
+    "ALL_POLICIES", "ArtifactCache", "JobPlan", "JobSpec",
+    "SchedulerStats", "SweepDAG", "SweepResult", "TaskDAG", "TaskNode",
+    "build_sweep_dag", "clear_process_caches",
     "code_version_salt", "compare_rows", "expand_matrix",
     "flatten_golden", "golden_from_rows", "load_golden",
     "merge_golden", "parse_policy", "run_dag", "run_sweep",

@@ -1,26 +1,25 @@
-"""The sweep's phase-task DAG: one task per distinct phase artifact.
+"""The phase-task DAG: one task per distinct phase artifact.
 
-PR 5 made every analysis phase an individually *cacheable* step; this
-module makes each one an individually *schedulable* task.  A sweep of
-(workload x policy x model) jobs expands to a DAG with one node per
-distinct phase artifact across **all** jobs — both pipeline models
-share a (workload, policy)'s cfg/value/loopbounds/icache/dcache
-artifacts, every job of an annotated workload shares its
-discover-then-annotate prefix, and a job's phases are chained by
-dependency edges — so a 114-point matrix collapses from ~800 phase
-executions to a few hundred unique tasks that a worker pool can drain
-with no per-group barriers.
+Every entry point describes its work as :class:`JobPlan`\\ s, one per
+job: a ``repro batch`` sweep (one plan per workload x policy x model
+point, built by :func:`_plan_for`), one ``analyze_wcet`` or
+``analyze_workload`` call, or one ``repro serve`` request.  A plan holds
+the job's :class:`~repro.wcet.ait.PhaseTask` templates from
+:func:`repro.wcet.ait.phase_plan`.  :func:`build_sweep_dag` expands the
+plans of all jobs into one task graph with one node per distinct phase
+artifact: both pipeline models share a (workload, policy)'s
+cfg/value/loopbounds/icache/dcache artifacts, every job of an annotated
+workload shares its discover-then-annotate prefix, and a job's phases
+are chained by dependency edges.  A 114-point matrix collapses from 846
+phase references to 517 unique tasks, which a worker pool drains with
+no per-group barriers.
 
-Two views of the same plan live here:
-
-* :func:`build_sweep_dag` — the structural view: nodes, edges, dedup
-  counts, and a deterministic ready queue.  Task identity is
-  structural (phase name + the exact inputs that feed its cache-key
-  material), which coincides with cache-key identity without having to
-  compile or analyze anything in the parent.
-* :class:`JobPlan` — the executable view, built for every entry
-  point: the same task set for one job, with the real key-material and
-  compute functions from :func:`repro.wcet.ait.phase_plan`.
+The plan alone decides which inputs feed which phase, and so which
+templates share a task: :meth:`JobPlan.identities` evaluates each
+template's own key material over its dependencies' identities instead
+of their cache keys.  Two templates share a task only when their cache
+keys must coincide, and the parent finds out without keying, fetching
+or analyzing anything.
 """
 
 from __future__ import annotations
@@ -28,23 +27,21 @@ from __future__ import annotations
 import cProfile
 import dataclasses
 import functools
+import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..cache.config import PIPELINE_MODELS, MachineConfig
+from ..cache.config import MachineConfig
 from ..cfg.contexts import DEFAULT_POLICY
 from ..domainimpl import resolve_domain_impl
 from ..isa.program import Program
 from ..wcet import ait
 from ..wcet.ait import PHASES, PhaseTask, material_loopbounds, phase_plan
 from ..workloads.suite import Workload, derive_manual_bounds, get_workload
-from .jobs import JobSpec, parse_policy
-
-class DAGCycleError(ValueError):
-    """The task graph is not acyclic."""
+from .jobs import JobSpec
 
 
-# -- Parent-side structural DAG --------------------------------------------------
+# -- Parent-side task graph ------------------------------------------------------
 
 
 @dataclass
@@ -53,9 +50,8 @@ class TaskNode:
     row-assembly task)."""
 
     index: int                      #: build order; doubles as priority
-    identity: Tuple                 #: structural dedup identity
     label: str                      #: human-readable, e.g. "bs/full:value"
-    kind: str                       #: "phase" | "annotate" | "row"
+    kind: str                       #: "phase" | "row"
     spec: JobSpec                   #: a job whose plan contains the task
     template: str                   #: template name within that job's plan
     deps: List["TaskNode"] = field(default_factory=list)
@@ -88,19 +84,17 @@ class TaskNode:
 class TaskDAG:
     """A deduplicated task graph plus its scheduling state machine.
 
-    Nodes are added through :meth:`add_node`, which returns the
-    existing node when the structural ``identity`` was seen before —
-    that is the dedup.  :meth:`validate` rejects cycles (they cannot
-    arise from :func:`build_sweep_dag`, but :meth:`add_edge` lets
-    callers — and tests — wire arbitrary graphs).  Tasks are released
-    in build order, which the executor keeps as the dispatch priority
-    of simultaneously-ready tasks, so dispatch is deterministic.
+    :meth:`add_node` returns the existing node when its ``identity``
+    was seen before (that is the dedup), and links a new node only to
+    nodes that already exist, so build order is a topological order
+    and the graph is acyclic by construction.  Tasks are released in
+    build order, which the executor keeps as the dispatch priority of
+    simultaneously-ready tasks, so dispatch is deterministic.
     """
 
     def __init__(self):
         self.nodes: List[TaskNode] = []
-        self._by_identity: Dict[Tuple, TaskNode] = {}
-        self._started = False
+        self._by_identity: Dict[Hashable, TaskNode] = {}
         self._finished = 0
         #: Total add_node references (dedup hits included), row tasks
         #: excluded: the "phase executions" the jobs would issue
@@ -109,72 +103,42 @@ class TaskDAG:
 
     # -- Construction -------------------------------------------------------
 
-    def add_node(self, identity: Tuple, label: str, kind: str,
+    def add_node(self, identity: Hashable, label: str, kind: str,
                  spec: JobSpec, template: str,
                  deps: Sequence[TaskNode] = (),
                  job_index: int = 0) -> TaskNode:
-        if kind in ("phase", "annotate"):
+        """The node of ``identity``, created on first sight with an
+        edge from each of ``deps``: it cannot start before they
+        finished."""
+        if kind == "phase":
             self.phase_refs += 1
         node = self._by_identity.get(identity)
         if node is None:
-            node = TaskNode(index=len(self.nodes), identity=identity,
-                            label=label, kind=kind, spec=spec,
-                            template=template)
+            node = TaskNode(index=len(self.nodes), label=label, kind=kind,
+                            spec=spec, template=template)
             self.nodes.append(node)
             self._by_identity[identity] = node
             for dep in dict.fromkeys(deps):
-                self.add_edge(dep, node)
+                node.deps.append(dep)
+                dep.dependents.append(node)
         node.refs.append((job_index, template))
         return node
 
-    def add_edge(self, dep: TaskNode, node: TaskNode) -> None:
-        """``node`` cannot start before ``dep`` finished."""
-        if self._started:
-            raise RuntimeError("cannot grow a DAG after start()")
-        node.deps.append(dep)
-        dep.dependents.append(node)
-
     @property
     def unique_tasks(self) -> int:
-        return sum(1 for node in self.nodes
-                   if node.kind in ("phase", "annotate"))
+        return sum(1 for node in self.nodes if node.kind == "phase")
 
     @property
     def deduped_tasks(self) -> int:
         return self.phase_refs - self.unique_tasks
 
-    def validate(self) -> None:
-        """Raise :class:`DAGCycleError` unless the graph is acyclic
-        (Kahn's algorithm)."""
-        pending = {node.index: len(set(dep.index for dep in node.deps))
-                   for node in self.nodes}
-        queue = [index for index, count in pending.items() if count == 0]
-        seen = 0
-        while queue:
-            index = queue.pop()
-            seen += 1
-            for dependent in self.nodes[index].dependents:
-                pending[dependent.index] -= 1
-                if pending[dependent.index] == 0:
-                    queue.append(dependent.index)
-        if seen != len(self.nodes):
-            stuck = sorted(label
-                           for label, count in
-                           ((node.label, pending[node.index])
-                            for node in self.nodes) if count > 0)
-            raise DAGCycleError(
-                f"task graph has a cycle through: {', '.join(stuck)}")
-
     # -- Scheduling state machine -------------------------------------------
 
     def start(self) -> List[TaskNode]:
-        """Validate and return the initially-ready tasks in priority
-        (build) order."""
-        self.validate()
-        self._started = True
+        """Return the initially-ready tasks in priority (build) order."""
         ready = []
         for node in self.nodes:
-            node.pending = len(set(dep.index for dep in node.deps))
+            node.pending = len(node.deps)
             if node.pending == 0:
                 node.state = "ready"
                 ready.append(node)
@@ -191,7 +155,7 @@ class TaskDAG:
         node.finish_order = self._finished
         self._finished += 1
         released = []
-        for dependent in dict.fromkeys(node.dependents):
+        for dependent in node.dependents:
             dependent.pending -= 1
             if dependent.pending == 0 and dependent.state == "pending":
                 dependent.state = "ready"
@@ -226,18 +190,22 @@ class SweepDAG:
     """The deduplicated task DAG of one sweep."""
 
     jobs: List[JobSpec]
-    dag: TaskDAG
-    #: Per job: the row-assembly node, or ``None`` when the job failed
-    #: to plan or its plan stops short of a full pipeline.
-    row_nodes: List[Optional[TaskNode]]
-    #: Per job: template name -> node, ``"row"`` included.
-    job_phase_nodes: List[Dict[str, TaskNode]]
-    #: job index -> plan-time error message.
-    build_errors: Dict[int, str]
     #: Whether rows record cache provenance (``False``: no store).
     use_cache: bool = True
-    #: In-process callers' plans, one per job (else rebuilt from specs).
-    plans: Optional[List["JobPlan"]] = None
+    dag: TaskDAG = field(default_factory=TaskDAG)
+    #: Per job: its executable plan, or ``None`` when it failed to plan.
+    plans: List[Optional["JobPlan"]] = field(default_factory=list)
+    #: Per job: the seconds planning it spent compiling its program
+    #: (0.0 when the binary was memoised or the caller brought a plan).
+    compile_seconds: List[float] = field(default_factory=list)
+    #: Per job: template name -> node, ``"row"`` included.
+    job_phase_nodes: List[Dict[str, TaskNode]] = \
+        field(default_factory=list)
+    #: Per job: the row-assembly node, or ``None`` when the job failed
+    #: to plan or its plan stops short of a full pipeline.
+    row_nodes: List[Optional[TaskNode]] = field(default_factory=list)
+    #: job index -> plan-time error message.
+    build_errors: Dict[int, str] = field(default_factory=dict)
 
     def stats(self) -> Dict[str, int]:
         return {"phase_refs": self.dag.phase_refs,
@@ -267,127 +235,23 @@ class SweepDAG:
             events[phase] = "miss" if owns and node.computed else "hit"
         return events
 
-    def row_timing(self, job_index: int) -> Tuple[Dict[str, float], float]:
-        """One job's ``(phase_seconds, wall_seconds)``: per phase the
-        seconds of the task that produced its artifact, and the sum
-        over the tasks the job owns (``refs[0]``, discovery prefix
-        included)."""
+    def row_timing(self, job_index: int
+                   ) -> Tuple[Dict[str, float], float, float]:
+        """One job's ``(phase_seconds, wall_seconds, compile_seconds)``:
+        per phase the seconds of the task that produced its artifact,
+        the sum over the tasks the job owns (``refs[0]``, discovery
+        prefix included), and what planning the job spent compiling."""
         nodes = self.job_phase_nodes[job_index]
         owned = {node.index: node.seconds
                  for template, node in nodes.items()
                  if template != "row" and node.refs[0][0] == job_index}
         return ({phase: nodes[phase].seconds for phase in PHASES},
-                sum(owned.values()))
+                sum(owned.values()), self.compile_seconds[job_index])
 
     def artifact(self, job_index: int, template: str) -> Any:
         """What an in-process run produced for one job's template
         (``"row"``: the job's WCETResult)."""
         return self.job_phase_nodes[job_index][template].value
-
-
-def _job_identities(name: str, policy_desc: str, model: str, impl: str,
-                    annotated: bool, share_discovery: bool = True
-                    ) -> List[Tuple[str, Tuple, Tuple[str, ...]]]:
-    """The (template, identity, dep templates) triples of one job's
-    plan, in execution order.
-
-    The identity tuples are chosen so that two templates coincide
-    exactly when their cache-key materials would: every input that
-    feeds the material either appears in the tuple or is a pure
-    function of an input that does (e.g. a workload's memory-range
-    annotations are derived from its name).  A caller's own plan may
-    run its main chain with non-default parameters, so
-    ``share_discovery=False`` keeps its discovery prefix apart.
-    """
-    full_desc = DEFAULT_POLICY.describe()
-    scope = name if share_discovery else ("discover", name)
-    entries: List[Tuple[str, Tuple, Tuple[str, ...]]] = []
-    if annotated:
-        entries += [
-            ("discover:cfg", ("cfg", scope, full_desc), ()),
-            ("discover:value", ("value", scope, full_desc, impl),
-             ("discover:cfg",)),
-            ("discover:loopbounds",
-             ("loopbounds", scope, full_desc, impl, False),
-             ("discover:value",)),
-            ("annotate", ("annotate", scope, impl),
-             ("discover:loopbounds",)),
-        ]
-    entries += [
-        ("cfg", ("cfg", name, policy_desc), ()),
-        ("value", ("value", name, policy_desc, impl), ("cfg",)),
-        ("loopbounds",
-         ("loopbounds", name, policy_desc, impl, annotated),
-         ("value", "annotate") if annotated else ("value",)),
-        ("icache", ("icache", name, policy_desc, impl), ("cfg",)),
-        ("dcache", ("dcache", name, policy_desc, impl),
-         ("cfg", "value")),
-        ("pipeline", ("pipeline", name, policy_desc, impl, model),
-         ("cfg", "icache", "dcache")),
-        ("path", ("path", name, policy_desc, impl, model, annotated),
-         ("cfg", "pipeline", "loopbounds", "value")),
-    ]
-    return entries
-
-
-def build_sweep_dag(jobs: Sequence[JobSpec], use_cache: bool = True,
-                    plans: Optional[Sequence["JobPlan"]] = None
-                    ) -> SweepDAG:
-    """Expand a job list into the deduplicated phase-task DAG.
-
-    ``use_cache=False`` only stops rows from recording cache
-    provenance.  Jobs that cannot be planned (unknown workload, bad
-    policy/model token) become ``build_errors`` entries instead of
-    raising, so one bad point cannot take down a sweep.  ``plans`` (one
-    per job) are in-process callers' own plans; they share tasks across
-    policies and models only, so must agree on all else.  Jobs without
-    plans run the domain implementation the environment selects.
-    """
-    impl = resolve_domain_impl()
-    dag = TaskDAG()
-    row_nodes: List[Optional[TaskNode]] = []
-    job_phase_nodes: List[Dict[str, TaskNode]] = []
-    build_errors: Dict[int, str] = {}
-    for job_index, spec in enumerate(jobs):
-        job_phase_nodes.append({})
-        if plans is not None:
-            plan = plans[job_index]
-            entries = [entry for entry in _job_identities(
-                spec.workload, plan.policy_desc, plan.config.pipeline_model,
-                plan.domain_impl, plan.annotated, share_discovery=False)
-                if entry[0] in plan.templates]
-        else:
-            try:
-                workload = get_workload(spec.workload)
-                policy_desc = parse_policy(spec.policy).describe()
-                if spec.model not in PIPELINE_MODELS:
-                    raise ValueError(
-                        f"unknown pipeline model {spec.model!r}")
-            except Exception as exc:
-                build_errors[job_index] = f"{type(exc).__name__}: {exc}"
-                row_nodes.append(None)
-                continue
-            entries = _job_identities(
-                spec.workload, policy_desc, spec.model, impl,
-                bool(workload.manual_bounds_in_order))
-        by_template: Dict[str, TaskNode] = {}
-        for template, identity, dep_names in entries:
-            kind = "annotate" if template == "annotate" else "phase"
-            by_template[template] = dag.add_node(
-                identity, f"{spec.workload}/{spec.policy}:{template}",
-                kind, spec, template,
-                [by_template[dep] for dep in dep_names], job_index)
-        row = None
-        if all(phase in by_template for phase in PHASES):
-            row = by_template["row"] = dag.add_node(
-                ("row", job_index), f"{spec.job_id}:row", "row", spec,
-                "row", [by_template[phase] for phase in PHASES],
-                job_index)
-        row_nodes.append(row)
-        job_phase_nodes[job_index] = by_template
-    return SweepDAG(list(jobs), dag, row_nodes, job_phase_nodes,
-                    build_errors, use_cache,
-                    list(plans) if plans is not None else None)
 
 
 # -- Executable plans -------------------------------------------------------------
@@ -405,8 +269,8 @@ def _prefixed(task: PhaseTask, prefix: str) -> PhaseTask:
 
 
 class JobPlan:
-    """One job's executable plan: every template of
-    :func:`_job_identities` as a :class:`~repro.wcet.ait.PhaseTask`.
+    """One job's executable plan: its templates as
+    :class:`~repro.wcet.ait.PhaseTask`\\ s, in dependency order.
 
     ``options`` are the :func:`repro.wcet.ait.phase_plan` arguments.
     An annotated ``workload`` adds the default-parameter
@@ -420,24 +284,24 @@ class JobPlan:
                  spec: Optional[JobSpec] = None,
                  phases: Sequence[str] = PHASES, **options):
         self.program = program
+        self.workload = workload
         config = options.get("config") or MachineConfig.default()
         if options.get("pipeline_model") is not None:
             config = config.with_model(options["pipeline_model"])
         self.config = config
         self.domain_impl = resolve_domain_impl(options.get("domain_impl"))
-        self.policy_desc = (options.get("context_policy")
-                            or DEFAULT_POLICY).describe()
-        self.annotated = bool(workload is not None
-                              and workload.manual_bounds_in_order)
+        annotated = bool(workload is not None
+                         and workload.manual_bounds_in_order)
         self.spec = spec or JobSpec(
             workload.name if workload is not None else "program",
-            self.policy_desc, config.pipeline_model)
+            (options.get("context_policy") or DEFAULT_POLICY).describe(),
+            config.pipeline_model)
         #: Per-phase ``cProfile.Profile`` objects (see :meth:`profile`).
         self.profiles: Dict[str, object] = {}
         options.update(config=config, domain_impl=self.domain_impl)
 
         tasks: List[PhaseTask] = []
-        if self.annotated:
+        if annotated:
             discovery = phase_plan(program,
                                    memory_ranges=options.get("memory_ranges"),
                                    domain_impl=self.domain_impl)
@@ -447,7 +311,7 @@ class JobPlan:
                 lambda deps: derive_manual_bounds(
                     workload, deps["discover:loopbounds"])))
         for task in phase_plan(program, **options):
-            if task.name == "loopbounds" and self.annotated:
+            if task.name == "loopbounds" and annotated:
                 # The material embeds the annotate *value* (small),
                 # reproducing the key a plain analyze_wcet call with
                 # the derived annotations would use.
@@ -462,6 +326,31 @@ class JobPlan:
         self.templates: Dict[str, PhaseTask] = {task.name: task
                                                 for task in tasks}
 
+    def identities(self) -> Dict[str, str]:
+        """Each template's DAG identity, derived from the plan alone.
+
+        A stored template's identity is its own key material evaluated
+        over its dependencies' identities in place of their keys, and
+        a fetched artifact (the annotate mapping, in annotated
+        ``loopbounds``) is stood in for by a mapping that names the
+        fetched template's identity.  The never-stored ``annotate``
+        view is identified by its name, its dependency's identity and
+        the workload's documented bounds.  Equal identities therefore
+        imply equal cache keys, and nothing is keyed or run to find
+        them.
+        """
+        identities: Dict[str, str] = {}
+        for name, task in self.templates.items():
+            if task.material is None:
+                identities[name] = (
+                    f"{name}|{identities[task.deps[0]]}"
+                    f"|bounds={self.workload.manual_bounds_in_order}")
+            else:
+                identities[name] = task.material(
+                    {dep: identities[dep] for dep in task.deps},
+                    lambda dep: {dep: identities[dep]})
+        return identities
+
     def profile(self) -> None:
         """Run every template's compute under ``cProfile``, collecting
         the profilers in :attr:`profiles`."""
@@ -470,3 +359,77 @@ class JobPlan:
             self.templates[name] = dataclasses.replace(
                 task, compute=functools.partial(profiler.runcall,
                                                 task.compute))
+
+
+# Module-level memos live in each process that plans sweep jobs: the
+# parent plans every job while it builds the DAG, and fork workers
+# inherit its compiled binaries and plans instead of building their own.
+_PROGRAM_MEMO: Dict[str, Program] = {}
+_PLAN_MEMO: Dict[Tuple[str, str, str, str], JobPlan] = {}
+
+
+def _plan_for(spec: JobSpec) -> Tuple[JobPlan, float]:
+    """The memoised plan of one sweep job, and the seconds this call
+    spent compiling its program (0.0 when the binary was memoised).
+
+    The plan runs the domain implementation the environment selects;
+    the memo keys on it, so a process that switches implementations
+    never reuses a plan built for the other one."""
+    impl = resolve_domain_impl()
+    memo_key = (spec.workload, spec.policy, spec.model, impl)
+    plan = _PLAN_MEMO.get(memo_key)
+    compile_seconds = 0.0
+    if plan is None:
+        workload = get_workload(spec.workload)
+        program = _PROGRAM_MEMO.get(spec.workload)
+        if program is None:
+            start = time.perf_counter()
+            program = _PROGRAM_MEMO[spec.workload] = workload.compile()
+            compile_seconds = time.perf_counter() - start
+        plan = _PLAN_MEMO[memo_key] = JobPlan(
+            program, workload, spec, manual_loop_bounds={},
+            context_policy=spec.policy_object(), pipeline_model=spec.model,
+            memory_ranges=workload.memory_ranges(program),
+            domain_impl=impl)
+    return plan, compile_seconds
+
+
+def build_sweep_dag(jobs: Sequence[JobSpec], use_cache: bool = True,
+                    plans: Optional[Sequence[JobPlan]] = None
+                    ) -> SweepDAG:
+    """Expand a job list into the deduplicated phase-task DAG.
+
+    Each job runs the caller's plan (``plans``, one per job) or the one
+    :func:`_plan_for` builds, which compiles each workload once, here
+    in the parent.  A job that cannot be planned (unknown workload,
+    source that does not compile, bad policy or model token) becomes a
+    ``build_errors`` entry instead of raising, so one bad point cannot
+    take down a sweep.  Templates of any jobs share a node when their
+    :meth:`JobPlan.identities` agree, which they do only when their
+    cache keys must coincide.  ``use_cache=False`` only stops rows from
+    recording cache provenance.
+    """
+    sweep = SweepDAG(list(jobs), use_cache)
+    for job_index, spec in enumerate(jobs):
+        plan, compile_seconds, nodes = None, 0.0, {}
+        try:
+            plan, compile_seconds = (plans[job_index], 0.0) \
+                if plans is not None else _plan_for(spec)
+        except Exception as exc:
+            sweep.build_errors[job_index] = f"{type(exc).__name__}: {exc}"
+        if plan is not None:
+            identities = plan.identities()
+            for name, task in plan.templates.items():
+                nodes[name] = sweep.dag.add_node(
+                    identities[name], f"{spec.workload}/{spec.policy}:{name}",
+                    "phase", spec, name, [nodes[dep] for dep in task.deps],
+                    job_index)
+            if all(phase in nodes for phase in PHASES):
+                nodes["row"] = sweep.dag.add_node(
+                    ("row", job_index), f"{spec.job_id}:row", "row", spec,
+                    "row", [nodes[phase] for phase in PHASES], job_index)
+        sweep.plans.append(plan)
+        sweep.compile_seconds.append(compile_seconds)
+        sweep.job_phase_nodes.append(nodes)
+        sweep.row_nodes.append(nodes.get("row"))
+    return sweep

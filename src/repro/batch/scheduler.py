@@ -13,8 +13,9 @@ one ``repro serve`` request — on the backend ``parallel`` selects:
   :class:`~concurrent.futures.ProcessPoolExecutor` whose workers serve
   one shared ready queue (work stealing falls out), with tasks handed
   out the moment their dependencies complete and no per-group
-  barriers.  Workers rebuild plans from job specs and exchange
-  artifacts through the shared content-addressed store
+  barriers.  Fork workers inherit the plans the parent built (other
+  start methods rebuild them from job specs) and exchange artifacts
+  through the shared content-addressed store
   (:mod:`repro.batch.cachestore`); a vanished object — e.g. an
   eviction under ``--cache-limit-mb`` — is a miss and recomputed
   transitively, never raised.
@@ -44,12 +45,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import faults
-from ..domainimpl import resolve_domain_impl
-from ..isa.program import Program
 from ..wcet.ait import PHASES, WCETResult, build_wcet_result
-from ..workloads.suite import get_workload
 from .cachestore import ArtifactCache, code_version_salt
-from .dag import JobPlan, SweepDAG, TaskNode, build_sweep_dag
+from .dag import (_PLAN_MEMO, _PROGRAM_MEMO, JobPlan, SweepDAG, TaskNode,
+                  _plan_for, build_sweep_dag)
 from .jobs import JobSpec
 
 #: Default fault-tolerance budgets: how often one task may fail before
@@ -71,12 +70,10 @@ class JobTimeout(Exception):
 
 # -- Per-process state -----------------------------------------------------------
 #
-# Module-level memos live in each process that runs sweep tasks (fork
-# workers inherit the parent's): compiled binaries, executable job
-# plans and artifact caches are reused across all its tasks.
+# Artifact caches are memoised per process, like compiled binaries and
+# job plans (:func:`repro.batch.dag._plan_for`), and reused across all
+# its tasks.
 
-_PROGRAM_MEMO: Dict[str, Program] = {}
-_PLAN_MEMO: Dict[Tuple[str, str, str, str], JobPlan] = {}
 _CACHE_MEMO: Dict[Tuple[Optional[str], Optional[str], Optional[int]],
                   ArtifactCache] = {}
 
@@ -107,32 +104,6 @@ def _worker_cache(cache_dir: Optional[str], salt: Optional[str],
                               limit_bytes=limit_bytes)
         _CACHE_MEMO[memo_key] = cache
     return cache
-
-
-def _plan_for(spec: JobSpec) -> Tuple[JobPlan, float]:
-    """The memoised plan of one sweep job, and the seconds this call
-    spent compiling its program (0.0 when the binary was memoised).
-
-    The plan runs the domain implementation the environment selects;
-    the memo keys on it, so a process that switches implementations
-    never reuses a plan built for the other one."""
-    impl = resolve_domain_impl()
-    memo_key = (spec.workload, spec.policy, spec.model, impl)
-    plan = _PLAN_MEMO.get(memo_key)
-    compile_seconds = 0.0
-    if plan is None:
-        workload = get_workload(spec.workload)
-        program = _PROGRAM_MEMO.get(spec.workload)
-        if program is None:
-            start = time.perf_counter()
-            program = _PROGRAM_MEMO[spec.workload] = workload.compile()
-            compile_seconds = time.perf_counter() - start
-        plan = _PLAN_MEMO[memo_key] = JobPlan(
-            program, workload, spec, manual_loop_bounds={},
-            context_policy=spec.policy_object(), pipeline_model=spec.model,
-            memory_ranges=workload.memory_ranges(program),
-            domain_impl=impl)
-    return plan, compile_seconds
 
 
 class _TaskContext:
@@ -193,8 +164,7 @@ class _TaskContext:
 
 
 def _result_row(spec: JobSpec, result: WCETResult,
-                wall_seconds: float,
-                compile_seconds: float = 0.0) -> dict:
+                wall_seconds: float, compile_seconds: float) -> dict:
     events = list(result.cache_events.values())
     return {
         "workload": spec.workload,
@@ -225,7 +195,7 @@ def _execute(context: _TaskContext, template: str,
              row: Sequence = ()) -> Tuple[Any, dict]:
     """Run one task on its job's context: ensure a phase artifact, or
     assemble the job's WCETResult and row from the scheduler's ``row``
-    attribution ``(spec, events, phase_seconds, wall[, compile])``.
+    attribution ``(spec, events, phase_seconds, wall, compile)``.
     Returns the task's artifact and its outcome fields."""
     if template != "row":
         value, computed = context.ensure(template)
@@ -399,7 +369,7 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
         rows[job_index] = _error_row(sweep.jobs[job_index], message)
 
     def job_index_of(node: TaskNode) -> Optional[int]:
-        return node.identity[1] if node.kind == "row" else None
+        return node.refs[0][0] if node.kind == "row" else None
 
     def row_attribution(job_index: int) -> tuple:
         return (sweep.jobs[job_index], sweep.row_events(job_index),
@@ -475,7 +445,7 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
         return dag.complete(node, computed=computed, seconds=seconds,
                             worker=pid)
 
-    contexts: Dict[int, Tuple[_TaskContext, float]] = {}
+    contexts: Dict[int, _TaskContext] = {}
 
     def run_here(node: TaskNode) -> dict:
         """Execute one task in this process; its artifact stays on the
@@ -484,18 +454,12 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
         start = time.perf_counter()
         try:
             job_index, template = node.refs[0]
-            if job_index not in contexts:
-                plan, compile_seconds = (
-                    (sweep.plans[job_index], 0.0) if sweep.plans
-                    else _plan_for(sweep.jobs[job_index]))
-                contexts[job_index] = (
-                    _TaskContext(plan, store,
-                                 sweep.job_phase_nodes[job_index]),
-                    compile_seconds)
-            context, compile_seconds = contexts[job_index]
-            row = (*row_attribution(job_index), compile_seconds) \
-                if node.kind == "row" else ()
-            start = time.perf_counter()
+            context = contexts.get(job_index)
+            if context is None:
+                context = contexts[job_index] = _TaskContext(
+                    sweep.plans[job_index], store,
+                    sweep.job_phase_nodes[job_index])
+            row = row_attribution(job_index) if node.kind == "row" else ()
             node.value, outcome = _execute(context, template, row)
         except Exception as exc:
             node.exception = exc

@@ -134,8 +134,10 @@ class PhaseTask:
     own key material; ``compute`` maps the dependency artifacts (name
     -> artifact) to the phase's artifact.  The split is what lets the
     batch layer schedule phases of *many* jobs as one deduplicated
-    DAG: task identity is the cache key, and a key can be derived from
-    upstream keys alone.  A task without ``material`` is a cheap view
+    DAG: evaluated over its dependencies' task identities instead of
+    their keys, ``material`` yields the task's own identity
+    (:meth:`repro.batch.dag.JobPlan.identities`) without keying or
+    running anything.  A task without ``material`` is a cheap view
     of its dependencies that is recomputed wherever it is needed and
     never stored.
     """

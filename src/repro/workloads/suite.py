@@ -229,11 +229,12 @@ def analyze_workload(workload: Workload,
     loop annotations (found by the same discover-then-annotate loop an
     aiT user follows).
 
-    ``program`` reuses an already-compiled binary (sweep workers
-    compile each workload once); ``phase_cache`` threads a
-    content-addressed artifact cache (:mod:`repro.batch`) through both
-    the annotation-discovery prefix and the main analysis, which run
-    as one job on the batch layer's DAG executor.
+    ``program`` reuses an already-compiled binary (a caller that
+    analyzes one workload repeatedly compiles it once); ``phase_cache``
+    threads a content-addressed artifact cache (:mod:`repro.batch`)
+    through both the annotation-discovery prefix and the main analysis,
+    which run as one job on the batch layer's DAG executor and share a
+    task wherever their keys coincide.
     """
     from ..batch.dag import JobPlan
     from ..batch.scheduler import run_plans

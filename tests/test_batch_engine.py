@@ -343,17 +343,20 @@ def test_process_cache_normalizes_default_salt(tmp_path):
     assert implicit is explicit
 
 
-def test_inline_sweep_reports_compile_time_separately(tmp_path):
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_inline_sweep_reports_compile_time_separately(tmp_path, parallel):
+    # Programs compile once, while the DAG is built, so every executor
+    # charges the compile to the first job of each workload.
     clear_process_caches()
     jobs = expand_matrix("fibcall:full")
-    cold = run_sweep(jobs, parallel=1, cache_dir=str(tmp_path))
+    cold = run_sweep(jobs, parallel=parallel, cache_dir=str(tmp_path))
     first, second = cold.rows
     assert first["compile_seconds"] > 0.0
     assert first["wall_seconds"] >= 0.0
     # The second model reuses the memoised program: no compile charge.
     assert second["compile_seconds"] == 0.0
     # A memoised program compiles for free on the warm run.
-    warm = run_sweep(jobs, parallel=1, cache_dir=str(tmp_path))
+    warm = run_sweep(jobs, parallel=parallel, cache_dir=str(tmp_path))
     assert [row["compile_seconds"] for row in warm.rows] == [0.0, 0.0]
     assert warm.bounds() == cold.bounds()
 

@@ -3,15 +3,16 @@ failure handling, and eviction robustness.
 
 The batch engine schedules parallel sweeps as a deduplicated DAG of
 phase tasks (:mod:`repro.batch.dag` + :mod:`repro.batch.scheduler`).
-These tests pin the properties the ISSUE demands: structural dedup
-counts, cycle rejection, deterministic ready-queue ordering,
-byte-identical rows at every worker count (modulo timing fields),
-error rows instead of crashes when tasks or whole workers die, and
-recomputation (not failure) when a cached artifact vanishes under a
-bounded store.
+These tests pin its properties: dedup counts, task identities that
+merge templates only when their cache keys coincide, a topological
+build order, deterministic ready-queue ordering, byte-identical rows
+at every worker count (modulo timing fields), error rows instead of
+crashes when tasks or whole workers die, and recomputation (not
+failure) when a cached artifact vanishes under a bounded store.
 """
 
 import copy
+import dataclasses
 import glob
 import os
 import time
@@ -19,12 +20,15 @@ import time
 import pytest
 
 from repro import faults
-from repro.batch import (ArtifactCache, DAGCycleError, JobSpec, TaskDAG,
+from repro.batch import (ArtifactCache, JobPlan, JobSpec, TaskDAG,
                          build_sweep_dag, clear_process_caches,
                          compare_rows, expand_matrix, load_golden,
-                         run_sweep)
+                         parse_policy, run_sweep)
 from repro.batch import scheduler as dag_scheduler
-from repro.wcet.ait import PHASES
+from repro.batch.scheduler import _TaskContext, run_plans
+from repro.cache.config import MachineConfig
+from repro.isa.assembler import assemble
+from repro.wcet.ait import PHASES, analyze_wcet
 
 SMALL_MATRIX = "fibcall,bs:full,vivu:additive,krisc5"
 #: Includes janne, whose discover-then-annotate prefix produces a
@@ -100,18 +104,28 @@ class TestDAGConstruction:
         assert "warp9" in sweep.build_errors[2]
 
     def test_cycle_rejection(self):
+        # The only way to ask for a back edge a <- b is to re-add a's
+        # identity with b as a dependency; add_node returns the
+        # existing node and wires no edge, so the graph stays acyclic
+        # and drains completely.
         dag = TaskDAG()
         spec = JobSpec("fibcall", "full", "additive")
         a = dag.add_node(("a",), "a", "phase", spec, "a")
         b = dag.add_node(("b",), "b", "phase", spec, "b", deps=[a])
-        dag.add_edge(b, a)            # back edge: a <-> b
-        with pytest.raises(DAGCycleError):
-            dag.validate()
-        with pytest.raises(DAGCycleError):
-            dag.start()
+        assert dag.add_node(("a",), "a", "phase", spec, "a",
+                            deps=[b]) is a
+        assert a.deps == [] and b.dependents == []
+        assert dag.start() == [a]
+        assert dag.complete(a) == [b]
+        assert dag.complete(b) == []
+        assert dag.unfinished() == []
 
     def test_sweep_dag_is_acyclic(self):
-        build_sweep_dag(expand_matrix(ANNOTATED_MATRIX)).dag.validate()
+        # add_node links a new node only to existing ones, so every
+        # edge runs from a lower to a higher build index.
+        dag = build_sweep_dag(expand_matrix(ANNOTATED_MATRIX)).dag
+        assert all(dep.index < node.index
+                   for node in dag.nodes for dep in node.deps)
 
     def test_ready_queue_orders_by_build_index(self):
         dag = TaskDAG()
@@ -140,6 +154,91 @@ class TestDAGConstruction:
         assert {node.label for node in failed} == {"a", "b", "c"}
         assert unaffected.state != "failed"
         assert "boom" in c.error
+
+
+# -- Task identity ---------------------------------------------------------------
+
+
+LOOP = """
+main:
+loop:
+    SUBI R0, R0, #1
+    CMPI R0, #0
+    BGT loop
+    HALT
+"""
+
+
+def merging_nodes(sweep):
+    """Labels of the stored-template nodes whose refs derive more than
+    one cache key (with a store, through ``_TaskContext.key_of``)."""
+    store = ArtifactCache()
+    contexts = [_TaskContext(plan, store) for plan in sweep.plans]
+    return [node.label for node in sweep.dag.nodes
+            if node.kind == "phase" and node.template != "annotate"
+            and len({contexts[job].key_of(template)
+                     for job, template in node.refs}) > 1]
+
+
+def differing_plans(program, differ):
+    """Two plans on ``program`` that differ only in ``differ``, chosen
+    so that the bound moves."""
+    header = program.symbols["loop"]
+    base = MachineConfig.default()
+    slow = dataclasses.replace(base,
+                               branch_penalty=base.branch_penalty + 7)
+    return {
+        "config": [dict(config=base, register_ranges={0: (1, 20)}),
+                   dict(config=slow, register_ranges={0: (1, 20)})],
+        "register_ranges": [dict(register_ranges={0: (1, 10)}),
+                            dict(register_ranges={0: (1, 20)})],
+        "manual_loop_bounds": [dict(manual_loop_bounds={header: 10}),
+                               dict(manual_loop_bounds={header: 20})],
+    }[differ]
+
+
+class TestTaskIdentity:
+    @pytest.mark.parametrize("differ,split", [
+        ("config", {"pipeline", "path"}),
+        ("register_ranges",
+         {"value", "loopbounds", "dcache", "pipeline", "path"}),
+        ("manual_loop_bounds", {"loopbounds", "path"}),
+    ])
+    def test_differing_plans_keep_their_own_bounds(self, differ, split):
+        # Plans on one program that differ in one input share exactly
+        # the phases whose key material that input does not reach, and
+        # each row gets the bound analyze_wcet gives the plan alone.
+        program = assemble(LOOP)
+        options = differing_plans(program, differ)
+        alone = [analyze_wcet(program, **option).wcet_cycles
+                 for option in options]
+        assert alone[0] != alone[1]
+        rows, sweep = run_plans([JobPlan(program, **option)
+                                 for option in options])
+        assert [row["wcet_cycles"] for row in rows] == alone
+        first, second = sweep.job_phase_nodes
+        assert {phase for phase in PHASES
+                if first[phase] is not second[phase]} == split
+        assert merging_nodes(sweep) == []
+
+    def test_annotated_matrix_merges_only_equal_keys(self):
+        sweep = build_sweep_dag(expand_matrix(ANNOTATED_MATRIX))
+        assert merging_nodes(sweep) == []
+
+    def test_serve_batch_merges_only_equal_keys(self):
+        # One program under 3 policies x 2 models, planned the way a
+        # serve request plans it.
+        program = assemble(LOOP)
+        plans = [JobPlan(program, spec=JobSpec("loop", policy, model),
+                         register_ranges={0: (1, 20)},
+                         context_policy=parse_policy(policy),
+                         pipeline_model=model)
+                 for policy in ("full", "klimited", "vivu")
+                 for model in ("additive", "krisc5")]
+        sweep = build_sweep_dag([plan.spec for plan in plans], plans=plans)
+        assert sweep.stats() == {"phase_refs": 42, "unique_tasks": 27,
+                                 "deduped_tasks": 15}
+        assert merging_nodes(sweep) == []
 
 
 # -- Determinism across worker counts --------------------------------------------
@@ -332,13 +431,16 @@ class TestFailureHandling:
     def test_error_past_retry_budget_reports_attempt_count(
             self, monkeypatch):
         # A deterministic task error burns the whole retry budget and
-        # the error row says how often the task was tried.
+        # the error row says how often the task was tried.  The kernel
+        # compiles (so the job plans) but its loop has no bound, so
+        # its path task raises on every attempt.
         from repro.workloads import suite
-        broken = suite.Workload(name="broken-kernel",
-                                description="uncompilable", category="x",
-                                source="int main( {")
-        monkeypatch.setitem(suite.WORKLOADS, broken.name, broken)
-        jobs = [JobSpec(broken.name, "full", "additive")]
+        unbounded = suite.Workload(
+            name="unbounded-kernel", description="loop without a bound",
+            category="x",
+            source="int g; void main() { while (g >= 0) { g = g + 1; } }")
+        monkeypatch.setitem(suite.WORKLOADS, unbounded.name, unbounded)
+        jobs = [JobSpec(unbounded.name, "full", "additive")]
         clear_process_caches()
         result = run_sweep(jobs, parallel=2, max_task_retries=1)
         assert len(result.errors) == 1
