@@ -25,6 +25,7 @@ from .report import wcet_dot, wcet_report, worst_case_path_table
 from .sim import run_program
 from .stack import analyze_stack
 from .wcet import analyze_wcet
+from .wcet.ait import validate_annotations
 
 
 def _load_program(path: str) -> Program:
@@ -37,38 +38,40 @@ def _load_program(path: str) -> Program:
 
 def _annotation(syntax: str):
     """Turn a parser's ``ValueError`` into a usage error (exit 2) that
-    names the flag and the expected ``syntax``."""
+    names the flag, the expected ``syntax`` and what is wrong."""
     def wrap(parse):
         def convert(text: str):
             try:
                 return parse(text)
-            except ValueError:
+            except ValueError as exc:
                 raise argparse.ArgumentTypeError(
-                    f"expected {syntax}, got {text!r}") from None
+                    f"expected {syntax}, got {text!r} ({exc})") from None
         return convert
     return wrap
 
 
-def _split(text: str) -> Tuple[str, str]:
-    key, sep, value = text.partition("=")
+def _split(text: str, separator: str = "=") -> Tuple[str, str]:
+    key, sep, value = text.partition(separator)
     if not sep:
-        raise ValueError(text)
+        raise ValueError(f"missing {separator!r}")
     return key.strip(), value.strip()
 
 
 @_annotation("ADDR=N")
 def _loop_bound(text: str) -> Tuple[int, int]:
     address, count = _split(text)
-    return int(address, 0), int(count, 0)
+    bound = int(address, 0), int(count, 0)
+    validate_annotations(manual_loop_bounds=dict([bound]))
+    return bound
 
 
 @_annotation("Rk=LO:HI")
 def _register_range(text: str) -> Tuple[int, Tuple[int, int]]:
     register, span = _split(text)
-    low, sep, high = span.partition(":")
-    if not sep:
-        raise ValueError(text)
-    return parse_register(register), (int(low, 0), int(high, 0))
+    low, high = _split(span, ":")
+    item = parse_register(register), (int(low, 0), int(high, 0))
+    validate_annotations(register_ranges=dict([item]))
+    return item
 
 
 @_annotation("Rk=V")

@@ -46,8 +46,6 @@ class FixpointResult:
 
     entry_states: Dict[NodeId, AbstractState]
     loop_forest: LoopForest
-    transfers: int = 0
-    widenings: int = 0
     #: The abstract state at task entry (before the entry block), kept
     #: for analyses that must distinguish the implicit entry edge from
     #: loop back edges when the entry block heads a loop.
@@ -166,8 +164,7 @@ class FixpointSolver:
             kernel.narrow(self.narrowing_passes, entry_inputs,
                           order=graph.topological_order())
         stats = kernel.stats
-        return FixpointResult(states, loop_forest, stats.transfers,
-                              stats.widenings,
+        return FixpointResult(states, loop_forest,
                               task_entry_state=entry_state, stats=stats)
 
     # -- FIFO strategy (legacy reference) ----------------------------------
@@ -227,8 +224,7 @@ class FixpointSolver:
             if not self._narrow_pass(states, entry_state, stats):
                 break
 
-        return FixpointResult(states, loop_forest, stats.transfers,
-                              stats.widenings,
+        return FixpointResult(states, loop_forest,
                               task_entry_state=entry_state, stats=stats)
 
     def _narrow_pass(self, states: Dict[NodeId, AbstractState],

@@ -85,16 +85,13 @@ def run_sweep(jobs: List[JobSpec],
     The sweep is one deduplicated phase-task DAG
     (:func:`repro.batch.dag.build_sweep_dag`): one task per distinct
     phase cache key across all jobs, handed out as dependencies
-    complete.  ``parallel`` <= 1 runs it in-process on the store at
-    ``cache_dir`` (default: an in-memory one); above, on a persistent
-    worker pool whose workers exchange artifacts through the shared
-    content-addressed store — a given ``cache_dir``, or a temporary
-    spill directory when none is given (so an anonymous parallel sweep
-    still starts cold, like the in-memory store).  ``use_cache=False``
-    means no store: in-process nothing is keyed or stored, the pool
-    exchanges artifacts through a temporary spill directory, and rows
-    record no cache provenance.  ``salt`` overrides the code-version
-    salt (tests only).
+    complete.  It runs on one store: the one at ``cache_dir``; else,
+    for a pool (``parallel`` > 1), a temporary spill directory, so an
+    anonymous parallel sweep still starts cold; else an in-memory
+    store.  ``use_cache=False`` ignores ``cache_dir``: in-process
+    nothing is keyed or stored, a pool still exchanges artifacts
+    through a spill directory, and rows record no cache provenance.
+    ``salt`` overrides the code-version salt (tests only).
     ``cache_limit_mb`` bounds the on-disk store: after each write the
     least-recently-used objects are evicted until the store fits;
     workers treat objects evicted under them as misses and recompute.
@@ -108,19 +105,19 @@ def run_sweep(jobs: List[JobSpec],
         if cache_limit_mb is not None else None
     sweep_dag = build_sweep_dag(jobs, use_cache=use_cache)
     store = spill = None
-    store_dir = cache_dir if use_cache else None
-    if parallel <= 1:
-        if use_cache and store_dir is None:
-            store = ArtifactCache(None, salt=salt)
-    elif store_dir is None:
+    if use_cache and cache_dir is not None:
+        store = dag_scheduler._worker_cache(cache_dir, salt, limit_bytes)
+    elif parallel > 1:
         spill = tempfile.TemporaryDirectory(prefix="repro-dag-")
-        store_dir = spill.name
+        store = ArtifactCache(spill.name, salt=salt,
+                              limit_bytes=limit_bytes)
+    elif use_cache:
+        store = ArtifactCache(None, salt=salt)
     try:
         rows, stats = dag_scheduler.run_dag(
-            sweep_dag, parallel=parallel, cache_dir=store_dir,
-            salt=salt, limit_bytes=limit_bytes,
+            sweep_dag, parallel=parallel, store=store,
             max_task_retries=max_task_retries,
-            max_pool_rebuilds=max_pool_rebuilds, store=store)
+            max_pool_rebuilds=max_pool_rebuilds)
     finally:
         if spill is not None:
             spill.cleanup()

@@ -2,20 +2,21 @@
 
 :func:`run_dag` drains a :class:`~repro.batch.dag.SweepDAG` — a sweep
 (``repro batch``), one ``analyze_wcet``/``analyze_workload`` call, or
-one ``repro serve`` request — on the backend ``parallel`` selects:
+one ``repro serve`` request — in one loop over a heap of ready tasks
+keyed by build index, a heap of retries waiting out their backoff, and
+the futures of the tasks in flight.  ``parallel`` decides only where a
+ready task runs:
 
-* ``parallel <= 1``: the *inline* backend runs the tasks in the
-  calling process, lowest build index first, on the callers' own
-  plans; it hands the artifacts it holds to dependents instead of
-  reading them back from the store, and without a store derives no
-  keys and pickles nothing.
-* ``parallel > 1``: a persistent
-  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers serve
-  one shared ready queue (work stealing falls out), with tasks handed
-  out the moment their dependencies complete and no per-group
-  barriers.  Fork workers inherit the plans the parent built (other
-  start methods rebuild them from job specs) and exchange artifacts
-  through the shared content-addressed store
+* ``parallel <= 1``: in the calling process, with capacity one: the
+  lowest-index ready task runs on the callers' own plans, and its
+  artifact stays on its node for dependents; without a store no keys
+  are derived and nothing is pickled.
+* ``parallel > 1``: every ready task goes to a persistent
+  :class:`~concurrent.futures.ProcessPoolExecutor` the moment its
+  dependencies complete; idle workers take whatever is queued (work
+  stealing, no per-group barriers).  Fork workers inherit the parent's
+  plans (other start methods rebuild them from job specs) and exchange
+  artifacts through the store's directory
   (:mod:`repro.batch.cachestore`); a vanished object — e.g. an
   eviction under ``--cache-limit-mb`` — is a miss and recomputed
   transitively, never raised.
@@ -23,11 +24,11 @@ one ``repro serve`` request — on the backend ``parallel`` selects:
 Failure handling is *healing*, not aborting: a task that errors is
 retried with exponential backoff up to a per-task budget before its
 transitive dependents fail into error rows; a dead worker
-(``BrokenProcessPool``) triggers a bounded number of pool *rebuilds*
-with the in-flight tasks resubmitted; and once the rebuild budget is
-spent the remaining schedule degrades to the inline backend — slower,
-but every row still completes with bit-identical bounds.  The
-retry/rebuild/degraded counters land in :class:`SchedulerStats`.
+(``BrokenProcessPool``) puts the tasks in flight back on the ready
+heap and the pool is rebuilt a bounded number of times, after which
+the same loop carries on without a pool — slower, but every row still
+completes with bit-identical bounds.  The retry/rebuild/degraded
+counters land in :class:`SchedulerStats`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (FIRST_COMPLETED, Future,
+                                ProcessPoolExecutor, wait)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -111,7 +113,7 @@ class _TaskContext:
     that chains keys or resolves artifacts.
 
     Keys are derived from dependency keys, and only with a store.
-    Artifacts come from the inline backend's finished ``nodes`` (template
+    Artifacts come from the in-process run's finished ``nodes`` (template
     -> :class:`~repro.batch.dag.TaskNode`), else from the store.
     Resolution is *self-healing*: a dependency artifact that should be
     in the store but is not (evicted under ``--cache-limit-mb``, or a
@@ -143,12 +145,11 @@ class _TaskContext:
         threads (e.g. concurrent identical ``repro serve`` requests
         sharing one in-process cache) race on the same key, one
         computes and the other blocks on its latch — dedup happens
-        *before* the work starts.  A template without key material is
-        recomputed, never stored."""
-        if self.cache is None:
+        *before* the work starts.  A template without key material (a
+        view) is recomputed every time, never stored."""
+        if self.cache is None \
+                or self.plan.templates[template].material is None:
             return self._compute(template), True
-        if self.plan.templates[template].material is None:
-            return self._compute(template), False
         return self.cache.fetch_or_compute(
             self.key_of(template), lambda: self._compute(template))
 
@@ -244,9 +245,9 @@ def _pool_task(payload: Tuple) -> dict:
     """Pool task: one :func:`_execute` against the shared store; a row
     task carries the parent's provenance and timing attribution."""
     faults.worker_task_started()
-    spec, template, cache_dir, salt, limit_bytes, *row = payload
+    spec, template, root, salt, limit_bytes, *row = payload
     plan, _ = _plan_for(spec)
-    cache = _worker_cache(cache_dir, salt, limit_bytes)
+    cache = _worker_cache(root, salt, limit_bytes)
     start = time.perf_counter()
     _, outcome = _execute(_TaskContext(plan, cache), template, row)
     return {"pid": os.getpid(), "seconds": time.perf_counter() - start,
@@ -335,33 +336,27 @@ def _error_row(spec: JobSpec, message: str) -> dict:
 
 
 def run_dag(sweep: SweepDAG, parallel: int = 1,
-            cache_dir: Optional[str] = None,
-            salt: Optional[str] = None,
-            limit_bytes: Optional[int] = None,
+            store: Optional[ArtifactCache] = None,
             max_task_retries: int = DEFAULT_TASK_RETRIES,
             max_pool_rebuilds: int = DEFAULT_POOL_REBUILDS,
-            store: Optional[ArtifactCache] = None,
             cancel: Optional[threading.Event] = None,
             deadline: Optional[float] = None
             ) -> Tuple[List[dict], SchedulerStats]:
-    """Execute the sweep DAG in-process (``parallel <= 1``) or on a
-    pool of ``parallel`` workers.
+    """Drain the sweep DAG in this process (``parallel <= 1``) or on a
+    pool of ``parallel`` workers; returns rows in job order (error rows
+    for failed jobs) and the scheduler's statistics.
 
-    Returns rows in job order (error rows for failed jobs) and the
-    scheduler's statistics.  Pool workers open the store at
-    ``cache_dir``; in-process tasks use ``store`` (default: this
-    process's cache for ``cache_dir``, if any).  A task that errors is
-    retried up to ``max_task_retries`` times with exponential backoff
-    (``RETRY_BACKOFF_SECONDS * 2**attempt``) before failing its jobs;
-    a dead pool is rebuilt up to ``max_pool_rebuilds`` times, and past
-    that budget the rest runs in-process (degraded mode).  ``cancel``
-    (an event) and ``deadline`` (a :func:`time.monotonic` instant) are
-    checked between tasks and raise :class:`JobCancelled` /
-    :class:`JobTimeout`.
+    Tasks use ``store``; pool workers open ``store.root``, so a pool
+    needs a store on disk.  A task that errors is retried up to
+    ``max_task_retries`` times with exponential backoff
+    (``RETRY_BACKOFF_SECONDS * 2**attempt``) before failing its jobs; a
+    dead pool is rebuilt up to ``max_pool_rebuilds`` times, and past
+    that budget the loop carries on without a pool (degraded mode).
+    ``cancel`` (an event) and ``deadline`` (a :func:`time.monotonic`
+    instant) are checked between tasks and raise :class:`JobCancelled`
+    / :class:`JobTimeout`.
     """
     start = time.perf_counter()
-    if store is None and cache_dir is not None:
-        store = _worker_cache(cache_dir, salt, limit_bytes)
     dag = sweep.dag
     stats = SchedulerStats(workers=parallel, **sweep.stats())
     rows: List[Optional[dict]] = [None] * len(sweep.jobs)
@@ -378,8 +373,8 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
     def payload_for(node: TaskNode) -> tuple:
         row = row_attribution(job_index_of(node)) if node.kind == "row" \
             else ()
-        return (node.spec, node.template, cache_dir, salt, limit_bytes,
-                *row)
+        return (node.spec, node.template, store.root, store.salt,
+                store.limit_bytes, *row)
 
     def check_abort() -> None:
         if cancel is not None and cancel.is_set():
@@ -395,8 +390,8 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
 
     # Retry machinery: attempts counts error-payload failures per node
     # (kills don't burn the budget — the culprit can't be identified);
-    # deferred holds backoff-delayed resubmissions as (ready-time,
-    # tiebreak, node).
+    # deferred holds backoff-delayed retries as (ready-time, tiebreak,
+    # node).
     attempts: Dict[int, int] = {}
     deferred: List[Tuple[float, int, TaskNode]] = []
     deferred_seq = itertools.count()
@@ -413,19 +408,16 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
         heapq.heappush(deferred, (time.monotonic() + delay,
                                   next(deferred_seq), node))
 
-    def absorb_cache_stats(pid: int, outcome: dict) -> None:
-        if "memo" in outcome:
-            stats.worker_memo[pid] = outcome["memo"]
-            stats.worker_quarantined[pid] = outcome["quarantined"]
-
     def absorb(node: TaskNode, outcome: dict) -> List[TaskNode]:
-        """Book one returned task payload; error payloads go through
-        the retry budget.  Returns the newly-released dependents."""
+        """Book one task outcome; error outcomes go through the retry
+        budget.  Returns the newly-released dependents."""
         pid = outcome["pid"]
         seconds = outcome["seconds"]
         stats.worker_busy[pid] = \
             stats.worker_busy.get(pid, 0.0) + seconds
-        absorb_cache_stats(pid, outcome)
+        if "memo" in outcome:
+            stats.worker_memo[pid] = outcome["memo"]
+            stats.worker_quarantined[pid] = outcome["quarantined"]
         error = outcome.get("error")
         if error is not None:
             retry_or_fail(node, error)
@@ -450,7 +442,6 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
     def run_here(node: TaskNode) -> dict:
         """Execute one task in this process; its artifact stays on the
         node for dependents, row assembly and the caller."""
-        pid = os.getpid()
         start = time.perf_counter()
         try:
             job_index, template = node.refs[0]
@@ -463,107 +454,82 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
             node.value, outcome = _execute(context, template, row)
         except Exception as exc:
             node.exception = exc
-            return {"pid": pid, "error": f"{type(exc).__name__}: {exc}",
-                    "seconds": time.perf_counter() - start}
-        return {"pid": pid, "seconds": time.perf_counter() - start,
-                **outcome}
+            outcome = {"error": f"{type(exc).__name__}: {exc}"}
+        return {"pid": os.getpid(), "seconds": time.perf_counter() - start,
+                **outcome, **_cache_stats(store)}
 
-    def run_inline(ready: List[TaskNode], degraded: bool = False) -> None:
-        """The inline backend: drain the schedule in this process,
-        lowest build index first.  Also the degraded mode of a pool
-        past its rebuild budget: worker-kill fault injection never
-        fires in this process (see
-        :func:`repro.faults.worker_task_started`), so a sweep whose
-        pool keeps dying still terminates with complete rows.
-        """
-        queue = [node.index for node in ready]
-        heapq.heapify(queue)
-        while queue or deferred:
-            now = time.monotonic()
-            while deferred and deferred[0][0] <= now:
-                _, _, node = heapq.heappop(deferred)
-                heapq.heappush(queue, node.index)
-            if not queue:
-                time.sleep(max(0.0, deferred[0][0] - now))
-                continue
-            check_abort()
-            node = dag.nodes[heapq.heappop(queue)]
-            stats.degraded_tasks += degraded
-            for released in absorb(node, run_here(node)):
-                heapq.heappush(queue, released.index)
-        if contexts and store is not None:
-            absorb_cache_stats(os.getpid(), _cache_stats(store))
-
-    pending_submit: List[TaskNode] = dag.start()
+    # Without a pool (parallel <= 1, or degraded) the loop runs one task
+    # here and wraps its outcome in a completed future, so both kinds of
+    # outcome are booked by the same code.  Worker-kill faults never fire
+    # in this process (faults.worker_task_started), so a sweep whose pool
+    # keeps dying still terminates with complete rows.
+    ready = [node.index for node in dag.start()]
+    futures: Dict[Future, TaskNode] = {}
+    pool: Optional[ProcessPoolExecutor] = None
     rebuilds_left = max_pool_rebuilds
     degraded = False
-    futures: Dict[Any, TaskNode] = {}
-    while parallel > 1:                 # one iteration per pool lifetime
-        futures.clear()
-        try:
-            with ProcessPoolExecutor(max_workers=parallel,
-                                     mp_context=_pool_context()) as pool:
-
-                def submit_pending() -> None:
-                    # One at a time so a submit() that raises (broken
-                    # pool) leaves the unsubmitted rest in
-                    # pending_submit for the crash handler.
-                    while pending_submit:
-                        check_abort()
-                        node = pending_submit[0]
+    try:
+        while ready or futures or deferred:
+            check_abort()
+            now = time.monotonic()
+            while deferred and deferred[0][0] <= now:
+                heapq.heappush(ready, heapq.heappop(deferred)[2].index)
+            if not ready and not futures:
+                # Everything left is waiting out a backoff.
+                time.sleep(deferred[0][0] - now)
+                continue
+            broken = False
+            if parallel <= 1 or degraded:
+                node = dag.nodes[heapq.heappop(ready)]
+                stats.degraded_tasks += degraded
+                future = Future()
+                future.set_result(run_here(node))
+                futures[future] = node
+            else:
+                if pool is None:
+                    pool = ProcessPoolExecutor(
+                        max_workers=parallel, mp_context=_pool_context())
+                try:
+                    while ready:
+                        node = dag.nodes[ready[0]]
                         futures[pool.submit(_pool_task,
                                             payload_for(node))] = node
-                        pending_submit.pop(0)
-
-                submit_pending()
-                while futures or deferred:
-                    now = time.monotonic()
-                    while deferred and deferred[0][0] <= now:
-                        _, _, node = heapq.heappop(deferred)
-                        pending_submit.append(node)
-                    submit_pending()
-                    if not futures:
-                        # Everything left is waiting out a backoff.
-                        time.sleep(max(0.0,
-                                       deferred[0][0] - time.monotonic()))
-                        continue
-                    timeout = max(0.0, deferred[0][0] - now) \
-                        if deferred else None
-                    done, _ = wait(futures, timeout=timeout,
-                                   return_when=FIRST_COMPLETED)
-                    for future in done:
-                        node = futures.pop(future)
-                        try:
-                            outcome = future.result()
-                        except BrokenProcessPool:
-                            # Hand the node back so the crash handler
-                            # counts it as in-flight.
-                            futures[future] = node
-                            raise
-                        except Exception as exc:
-                            retry_or_fail(
-                                node, f"{type(exc).__name__}: {exc}")
-                            continue
-                        pending_submit.extend(absorb(node, outcome))
-                        submit_pending()
-            break                       # fully drained
-        except BrokenProcessPool:
-            # Everything in flight (or queued behind the broken
-            # submit) gets re-executed: on a fresh pool while the
-            # rebuild budget lasts, in-process afterwards.
-            crashed = sorted(set(futures.values())
-                             | set(pending_submit),
-                             key=lambda node: node.index)
-            futures.clear()
-            pending_submit = crashed
-            stats.retries += len(crashed)
-            if rebuilds_left > 0:
-                rebuilds_left -= 1
-                stats.pool_rebuilds += 1
-                continue
-            degraded = True
-            break
-    run_inline(pending_submit, degraded)
+                        heapq.heappop(ready)
+                except BrokenProcessPool:
+                    broken = True
+            if not broken:
+                timeout = max(0.0, deferred[0][0] - now) \
+                    if deferred else None
+                done, _ = wait(futures, timeout=timeout,
+                               return_when=FIRST_COMPLETED)
+                for future in done:
+                    node = futures.pop(future)
+                    error = future.exception()
+                    if isinstance(error, BrokenProcessPool):
+                        futures[future] = node    # still in flight
+                        broken = True
+                    elif error is not None:
+                        retry_or_fail(node,
+                                      f"{type(error).__name__}: {error}")
+                    else:
+                        for released in absorb(node, future.result()):
+                            heapq.heappush(ready, released.index)
+            if broken:
+                # Everything in flight is re-executed: on a fresh pool
+                # while the rebuild budget lasts, in this process after.
+                stats.retries += len(futures)
+                for node in futures.values():
+                    heapq.heappush(ready, node.index)
+                futures.clear()
+                pool.shutdown()
+                pool = None
+                degraded = rebuilds_left == 0
+                if not degraded:
+                    rebuilds_left -= 1
+                    stats.pool_rebuilds += 1
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     for node in dag.unfinished():
         # Nodes stranded by an abort that fail() already visited have
@@ -582,7 +548,7 @@ def run_plans(plans: Sequence[JobPlan],
               cancel: Optional[threading.Event] = None,
               deadline: Optional[float] = None
               ) -> Tuple[List[dict], SweepDAG]:
-    """Run in-process callers' plans as one DAG on the inline backend;
+    """Run in-process callers' plans as one DAG in this process;
     returns the rows and the drained DAG (see
     :meth:`~repro.batch.dag.SweepDAG.artifact`).  A failing task is not
     retried: its exception reaches the caller."""

@@ -46,11 +46,13 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..cache.config import PIPELINE_MODELS
 from ..isa import assemble
 from ..isa.program import Program
+from ..isa.registers import parse_register
 from ..lang import compile_program
 from ..batch.cachestore import ArtifactCache
 from ..batch.dag import JobPlan
 from ..batch.jobs import JobSpec, parse_policy
 from ..batch.scheduler import JobCancelled, JobTimeout, run_plans
+from ..wcet.ait import validate_annotations
 from .journal import TERMINAL_STATUSES, JobJournal
 
 
@@ -143,16 +145,21 @@ class AnalysisRequest:
                     "REG -> [LO, HI]")
             parsed = {}
             for register, span in ranges.items():
-                if isinstance(register, str):
-                    register = register.lstrip("Rr")
-                index = _parse_int(register, "register")
+                try:
+                    index = parse_register(str(register))
+                except ValueError as exc:
+                    raise ValidationError(str(exc)) from None
                 if not isinstance(span, (list, tuple)) or len(span) != 2:
                     raise ValidationError(
-                        f"register range for R{index} must be "
+                        f"register range for {register} must be "
                         f"[LO, HI], got {span!r}")
                 parsed[index] = (_parse_int(span[0], "range low"),
                                  _parse_int(span[1], "range high"))
             self.register_ranges = parsed
+        try:
+            validate_annotations(self.register_ranges, self.loop_bounds)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from None
 
         label = payload.get("label", "request")
         if not isinstance(label, str) or not label.strip():

@@ -38,6 +38,7 @@ from ..cfg.builder import BinaryCFG, build_cfg
 from ..cfg.contexts import DEFAULT_POLICY, ContextPolicy
 from ..cfg.expand import NodeId, TaskGraph, expand_task
 from ..isa.program import Program
+from ..isa.registers import register_name
 from ..path.ipet import PathAnalysisResult, analyze_paths
 from ..pipeline.analysis import TimingModel, analyze_pipeline
 
@@ -249,6 +250,24 @@ def material_path(cfg_key: str, pipeline_key: str, loopbounds_key: str,
             f"|infeasible={use_infeasible_paths}|integer={integer}")
 
 
+def validate_annotations(register_ranges: Optional[Mapping] = None,
+                         manual_loop_bounds: Optional[Mapping] = None
+                         ) -> None:
+    """Raise :class:`ValueError`, naming the item, for an annotation no
+    run can satisfy: a register outside R0..R15, a register range with
+    low > high, or a loop bound below 1.  :func:`phase_plan`, serve
+    requests and the CLI all check annotations here."""
+    for register, (low, high) in (register_ranges or {}).items():
+        name = register_name(register)
+        if low > high:
+            raise ValueError(f"register range for {name} is empty: "
+                             f"{low} > {high}")
+    for address, bound in (manual_loop_bounds or {}).items():
+        if bound < 1:
+            raise ValueError(f"loop bound for 0x{address:x} must be at "
+                             f"least 1, got {bound}")
+
+
 def phase_plan(program: Program,
                config: Optional[MachineConfig] = None,
                entry: Optional[int] = None,
@@ -274,6 +293,7 @@ def phase_plan(program: Program,
     feeds the plans of one or many jobs into one deduplicated task DAG
     (:mod:`repro.batch.dag`).
     """
+    validate_annotations(register_ranges, manual_loop_bounds)
     config = config or MachineConfig.default()
     if pipeline_model is not None:
         config = config.with_model(pipeline_model)

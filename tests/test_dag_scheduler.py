@@ -14,7 +14,9 @@ failure) when a cached artifact vanishes under a bounded store.
 import copy
 import dataclasses
 import glob
+import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -25,7 +27,8 @@ from repro.batch import (ArtifactCache, JobPlan, JobSpec, TaskDAG,
                          compare_rows, expand_matrix, load_golden,
                          parse_policy, run_sweep)
 from repro.batch import scheduler as dag_scheduler
-from repro.batch.scheduler import _TaskContext, run_plans
+from repro.batch.scheduler import (JobCancelled, JobTimeout, _TaskContext,
+                                   run_dag, run_plans)
 from repro.cache.config import MachineConfig
 from repro.isa.assembler import assemble
 from repro.wcet.ait import PHASES, analyze_wcet
@@ -271,11 +274,17 @@ class TestSchedulerDeterminism:
             assert stats[key] == value
         assert stats["computed_tasks"] + stats["cache_served_tasks"] \
             == stats["unique_tasks"]
+        # Cold, so the one cache-served task is a real store hit:
+        # bs/full:loopbounds has the key of its discovery twin.  The
+        # annotate view is recomputed on every run, so it counts as
+        # computed.
+        assert (stats["computed_tasks"], stats["cache_served_tasks"]) \
+            == (37, 1)
         assert stats["deduped_tasks"] > 0
         assert 0 < sum(stats["worker_busy_fraction"].values())
 
     def test_jobs_1_and_2_report_equal_dag_stats(self):
-        # --jobs 1 is the same DAG on the inline backend, so the dedup
+        # --jobs 1 drains the same DAG in-process, so the dedup
         # counts (and --min-dedup / --min-retries) mean the same there.
         jobs = expand_matrix("fibcall:full:additive,krisc5")
         stats = {}
@@ -303,13 +312,20 @@ class TestSchedulerDeterminism:
         assert result.scheduler["deduped_tasks"] == 34
 
     def test_warm_shared_cache_dir_serves_everything(self, tmp_path):
+        # Every stored artifact comes from the cache; only the
+        # never-stored annotate view (bs's) is recomputed.
         jobs = expand_matrix(SMALL_MATRIX)
+        views = sum(node.template == "annotate"
+                    for node in build_sweep_dag(jobs).dag.nodes)
+        assert views == 1
         clear_process_caches()
         run_sweep(jobs, parallel=2, cache_dir=str(tmp_path))
         clear_process_caches()
         warm = run_sweep(jobs, parallel=2, cache_dir=str(tmp_path))
         assert warm.hit_ratio() == 1.0
-        assert warm.scheduler["computed_tasks"] == 0
+        assert warm.scheduler["computed_tasks"] == views
+        assert warm.scheduler["cache_served_tasks"] \
+            == warm.scheduler["unique_tasks"] - views
 
 
 # -- Timing fields ---------------------------------------------------------------
@@ -446,6 +462,44 @@ class TestFailureHandling:
         assert len(result.errors) == 1
         assert "task failed 2 times" in result.errors[0]
         assert result.scheduler["retries"] == 1
+
+
+# -- Abort -----------------------------------------------------------------------
+
+
+class TestPoolAbort:
+    @pytest.mark.parametrize("abort", ["deadline", "cancel"])
+    def test_abort_raises_and_reaps_the_pool(self, abort, monkeypatch,
+                                             tmp_path):
+        # Every worker task stalls for 0.2 s, so the deadline passes
+        # with tasks still in flight; the run raises, and the pool is
+        # shut down with no worker left behind.
+        if dag_scheduler._pool_context() is None:
+            pytest.skip("needs fork start method")
+        monkeypatch.setenv(faults.ENV_FAULTS, "slow_task:1.0")
+        monkeypatch.setenv(faults.ENV_SLOW_SECONDS, "0.2")
+        faults.reset()
+        clear_process_caches()
+        sweep = build_sweep_dag(expand_matrix("fibcall:full:additive,krisc5"))
+        cancel = threading.Event()
+        if abort == "cancel":
+            cancel.set()
+        deadline = time.monotonic() + 0.3 if abort == "deadline" else None
+        try:
+            with pytest.raises(JobTimeout if abort == "deadline"
+                               else JobCancelled):
+                run_dag(sweep, parallel=2, store=ArtifactCache(str(tmp_path)),
+                        cancel=cancel, deadline=deadline)
+        finally:
+            faults.reset()
+        assert multiprocessing.active_children() == []
+        # The deadline cut the 8-task chain short; a cancel event that
+        # was already set stops the run before its first task.
+        done = sum(node.state == "done" for node in sweep.dag.nodes)
+        if abort == "deadline":
+            assert 0 < done < len(sweep.dag.nodes)
+        else:
+            assert done == 0
 
 
 # -- Eviction robustness ---------------------------------------------------------

@@ -266,6 +266,10 @@ class TestIncrementalService:
                         {"source": BASE, "models": ["warp-drive"]},
                         {"source": BASE, "loop_bounds": [4096]},
                         {"source": BASE, "register_ranges": {"R0": [1]}},
+                        {"source": BASE, "register_ranges": {"R99": [0, 5]}},
+                        {"source": BASE, "register_ranges": {"R0": [5, 1]}},
+                        {"source": BASE, "loop_bounds": {"0x1000": 0}},
+                        {"source": BASE, "loop_bounds": {"0x1000": -3}},
                         {"source": BASE, "label": ""}):
             with pytest.raises(ValidationError):
                 service.submit(payload)
@@ -277,12 +281,16 @@ class TestIncrementalService:
             "policies": ["full", "full", "vivu"],
             "models": "krisc5",
             "loop_bounds": {"0x1000": "8"},
-            "register_ranges": {"R3": [0, 100]},
+            "register_ranges": {"R3": [0, 100], "SP": [0x8000, 0x8000],
+                                "lr": [0, 4]},
         })
         assert request.policies == ["full", "vivu"]
         assert request.models == ["krisc5"]
         assert request.loop_bounds == {0x1000: 8}
-        assert request.register_ranges == {3: (0, 100)}
+        # Register names as the CLI spells them (parse_register).
+        assert request.register_ranges == {3: (0, 100),
+                                           13: (0x8000, 0x8000),
+                                           14: (0, 4)}
         assert request.label == "request"
 
     def test_compile_errors_surface_as_job_errors(self, service):
@@ -450,6 +458,7 @@ class TestHTTP:
         b'{"source": "void main() { }", "frobnicate": true}',
         b'{"source": "void main() { }", "models": ["warp-drive"]}',
         b'{"source": "void main() { }", "loop_bounds": "nope"}',
+        b'{"source": "void main() { }", "register_ranges": {"R0": [5, 1]}}',
     ])
     def test_malformed_posts_return_400(self, server, body):
         assert http_status(server, "/analyze", "POST", body) == 400

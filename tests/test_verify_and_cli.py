@@ -127,8 +127,12 @@ class TestCLI:
         (["wcet", "--reg-range", "R0"], "--reg-range"),
         (["wcet", "--loop-bound", "0x10=abc"], "--loop-bound"),
         (["run", "--reg", "Rx=1"], "--reg"),
+        (["wcet", "--reg-range", "R0=5:1"], "--reg-range"),
+        (["wcet", "--loop-bound", "0x10=0"], "--loop-bound"),
+        (["wcet", "--loop-bound", "0x10=-3"], "--loop-bound"),
     ], ids=["range-without-hi", "range-without-value", "bound-not-int",
-            "unknown-register"])
+            "unknown-register", "empty-range", "zero-bound",
+            "negative-bound"])
     def test_malformed_annotation_is_usage_error(self, c_file, capsys,
                                                  argv, flag):
         command, *flags = argv

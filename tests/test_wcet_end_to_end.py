@@ -186,6 +186,31 @@ class TestLoops:
         execution = run_program(program, config=CONFIG, arguments={0: 15})
         assert result.wcet_cycles >= execution.cycles
 
+    @pytest.mark.parametrize("register_ranges, bound, message", [
+        ({99: (0, 5)}, None, "register index out of range"),
+        ({0: (5, 1)}, None, "range for R0 is empty"),
+        (None, 0, "must be at least 1"),
+        (None, -3, "must be at least 1"),
+    ], ids=["register-99", "empty-range", "zero-bound", "negative-bound"])
+    def test_malformed_annotation_is_value_error(self, register_ranges,
+                                                 bound, message):
+        # Rejected before any phase runs, instead of surfacing as an
+        # index error or an infeasible IPET program.
+        program = assemble("""
+        main:
+        loop:
+            SUBI R0, R0, #1
+            CMPI R0, #0
+            BGT loop
+            HALT
+        """)
+        bounds = {program.symbols["loop"]: bound} \
+            if bound is not None else None
+        with pytest.raises(ValueError, match=message):
+            analyze_wcet(program, config=CONFIG,
+                         register_ranges=register_ranges,
+                         manual_loop_bounds=bounds)
+
 
 class TestCalls:
     def test_call_heavy_program(self):
