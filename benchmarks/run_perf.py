@@ -54,14 +54,18 @@ from repro.workloads.synthetic import generate_large_source  # noqa: E402
 STAGES = (1, 2, 4, 8, 16)
 QUICK_STAGES = (1, 4)
 
-#: Guards on the large synthetic point (ILP-engine guard).  The simplex
+#: Guards on the large synthetic point.  The simplex and value-phase
 #: work is judged by deterministic counts, which catch a regression that
 #: a noisy wall clock cannot: the path LP takes 706 pivots and never
-#: drifts far enough to refactorize.  The whole analysis must also
-#: finish well inside interactive time (a coarse wall-clock backstop).
+#: drifts far enough to refactorize, and the value phase does 2760
+#: transfers and 3342 joins under either domain implementation (each
+#: budget leaves ~12% headroom).  The whole analysis must also finish
+#: well inside interactive time (a coarse wall-clock backstop).
 LARGE_TOTAL_BUDGET_SECONDS = 5.0
 LARGE_MAX_PIVOTS = 800
 LARGE_MAX_REFACTORIZATIONS = 1
+LARGE_MAX_VALUE_TRANSFERS = 3100
+LARGE_MAX_VALUE_JOINS = 3750
 
 #: Timing models measured per point (per-model WCET + phase wall clock).
 MODELS = ("additive", "krisc5")
@@ -163,7 +167,7 @@ def measure_point(stages: int, repeat: int) -> Dict:
                               in modelled.phase_seconds.items()},
         }
         if modelled.timing.state_stats is not None:
-            entry["state_stats"] = modelled.timing.state_stats.as_dict()
+            entry["state_stats"] = dict(vars(modelled.timing.state_stats))
         models[model] = entry
 
     point = {
@@ -173,10 +177,10 @@ def measure_point(stages: int, repeat: int) -> Dict:
         "edges": graph.edge_count(),
         "wcet_cycles": result.wcet_cycles,
         "states_identical": fifo.fixpoint.states_equal(wto.fixpoint),
-        "fifo": fifo.fixpoint.stats.as_dict(),
-        "wto": wto.fixpoint.stats.as_dict(),
+        "fifo": dict(vars(fifo.fixpoint.stats)),
+        "wto": dict(vars(wto.fixpoint.stats)),
         "cache_stats": {
-            name: stats.as_dict()
+            name: dict(vars(stats))
             for name, stats in result.solver_stats.items()
             if name != "value"},
         "analyze_wcet_seconds": round(min(wall_times), 4),
@@ -197,8 +201,8 @@ def measure_point(stages: int, repeat: int) -> Dict:
 def measure_large_point(repeat: int) -> Dict:
     """The large synthetic corpus point (thousands of instructions,
     deep call tree, dense branching): exercises the sparse ILP engine
-    at scale and guards its pivot counts, wall clock and bound across
-    runs."""
+    and the value phase at scale and guards their work counts, wall
+    clock and bound across runs."""
     program = compile_program(generate_large_source())
     wall_times: List[float] = []
     result = None
@@ -250,7 +254,8 @@ def measure_large_point(repeat: int) -> Dict:
         "path_seconds": phase_seconds["path"],
         "phase_seconds": phase_seconds,
         "lp_supernodes": result.path.lp_supernodes,
-        "ilp_stats": result.solver_stats["path"].as_dict(),
+        "ilp_stats": dict(vars(result.solver_stats["path"])),
+        "value_stats": dict(vars(result.solver_stats["value"])),
         "domain_impls": domain_impls,
         "domain_impl_speedup": round(speedup, 2),
         "models": {"additive": {"wcet_cycles": result.wcet_cycles,
@@ -424,6 +429,13 @@ def main(argv=None) -> int:
             f"large point path LP refactorized "
             f"{ilp['refactorizations']} times "
             f"> budget {LARGE_MAX_REFACTORIZATIONS}")
+    value = large["value_stats"]
+    for counter, budget in (("transfers", LARGE_MAX_VALUE_TRANSFERS),
+                            ("joins", LARGE_MAX_VALUE_JOINS)):
+        if value[counter] > budget:
+            failures.append(
+                f"large point value phase took {value[counter]} "
+                f"{counter} > budget {budget}")
     impl_bounds = {impl: entry["wcet_cycles"]
                    for impl, entry in large["domain_impls"].items()}
     if len(set(impl_bounds.values())) != 1:

@@ -13,6 +13,7 @@ the aiT / StackAnalyzer command-line tools are driven:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional, Tuple
 
@@ -23,7 +24,7 @@ from .isa.registers import parse_register
 from .lang import compile_program
 from .report import wcet_dot, wcet_report, worst_case_path_table
 from .sim import run_program
-from .stack import analyze_stack
+from .stack import StackAnalyzer, analyze_stack
 from .wcet import analyze_wcet
 from .wcet.ait import validate_annotations
 
@@ -80,15 +81,27 @@ def _register_value(text: str) -> Tuple[int, int]:
     return parse_register(register), int(value, 0)
 
 
+def _positive(number: type):
+    """Flag type for a count (``int``) or size (``float``): a finite
+    number above zero."""
+    @_annotation(f"{number.__name__} > 0")
+    def parse(text: str):
+        value = number(text)
+        if not 0 < value < math.inf:
+            raise ValueError("not a finite number above zero")
+        return value
+    return parse
+
+
 def cmd_wcet(args: argparse.Namespace) -> int:
     program = _load_program(args.file)
-    ranges = dict(args.reg_range) or None
     policy = make_policy(args.context_policy, k=args.k, peel=args.peel)
     result = analyze_wcet(program, manual_loop_bounds=dict(args.loop_bound),
-                          register_ranges=ranges, context_policy=policy,
+                          register_ranges=dict(args.reg_range) or None,
+                          context_policy=policy,
                           pipeline_model=args.pipeline_model,
                           profile=args.profile)
-    stack = analyze_stack(program, register_ranges=ranges)
+    stack = StackAnalyzer(program, result.values).analyze()
     print(wcet_report(result, stack))
     if args.profile:
         import pstats
@@ -329,26 +342,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from .serve import AnalysisServer, AnalysisService
 
-    # Unset flags keep the ArtifactCache class defaults (bounded);
-    # explicit 0 is rejected rather than silently meaning "unbounded".
-    memo_kwargs = {}
-    if args.memo_entries is not None:
-        if args.memo_entries <= 0:
-            raise SystemExit("--memo-entries must be positive")
-        memo_kwargs["memo_entries"] = args.memo_entries
-    if args.memo_mb is not None:
-        if args.memo_mb <= 0:
-            raise SystemExit("--memo-mb must be positive")
-        memo_kwargs["memo_bytes"] = int(args.memo_mb * 1024 * 1024)
-    if args.max_jobs is not None and args.max_jobs <= 0:
-        raise SystemExit("--max-jobs must be positive")
-    if args.max_jobs is not None:
-        memo_kwargs["max_jobs"] = args.max_jobs
     service = AnalysisService(cache_dir=args.cache_dir,
                               workers=args.workers,
                               cache_limit_mb=args.cache_limit_mb,
-                              journal_dir=args.journal,
-                              **memo_kwargs)
+                              memo_entries=args.memo_entries,
+                              memo_bytes=int(args.memo_mb * 1024 * 1024),
+                              max_jobs=args.max_jobs,
+                              journal_dir=args.journal)
     server = AnalysisServer((args.host, args.port), service)
     host, port = server.server_address[:2]
     print(f"repro serve listening on http://{host}:{port} "
@@ -495,7 +495,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "each component a comma list or 'all' "
                              "(policies: full, klimited[@K], "
                              "vivu[@PEEL[@K]])")
-    p_batch.add_argument("--jobs", type=int, default=1, metavar="N",
+    p_batch.add_argument("--jobs", type=_positive(int), default=1,
+                        metavar="N",
                         help="worker processes (1 = in-process)")
     p_batch.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="content-addressed artifact cache "
@@ -516,8 +517,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default=None, metavar="R",
                         help="fail unless the phase-cache hit ratio "
                              "is at least R (CI warm-cache guard)")
-    p_batch.add_argument("--cache-limit-mb", type=float, default=None,
-                        metavar="MB",
+    p_batch.add_argument("--cache-limit-mb", type=_positive(float),
+                        default=None, metavar="MB",
                         help="evict least-recently-used artifact-cache "
                              "entries once the on-disk cache exceeds "
                              "this size; requires --cache-dir")
@@ -560,38 +561,45 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="write/refresh golden sweep verdicts")
     p_rta.set_defaults(func=cmd_rta)
 
+    # The serve flags default to the service's own limits.
+    from .batch.cachestore import ArtifactCache
+    from .serve import AnalysisService
+
     p_serve = sub.add_parser(
         "serve", help="run the analysis service (HTTP, stdlib only)")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8349,
                          help="listen port (0 picks a free one)")
-    p_serve.add_argument("--workers", type=int, default=2, metavar="N",
+    p_serve.add_argument("--workers", type=_positive(int), default=2,
+                         metavar="N",
                          help="analysis worker threads (default 2)")
     p_serve.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="persistent artifact cache directory "
                               "(default: in-memory only)")
-    p_serve.add_argument("--cache-limit-mb", type=float, default=None,
-                         metavar="MB",
+    p_serve.add_argument("--cache-limit-mb", type=_positive(float),
+                         default=None, metavar="MB",
                          help="bound the on-disk artifact store "
                               "(requires --cache-dir)")
-    p_serve.add_argument("--memo-entries", type=int,
-                         default=None, metavar="N",
+    p_serve.add_argument("--memo-entries", type=_positive(int),
+                         default=ArtifactCache.MEMO_ENTRY_LIMIT,
+                         metavar="N",
                          help="bound the in-memory artifact memo by "
-                              "entry count (default 4096)")
-    p_serve.add_argument("--memo-mb", type=float, default=None,
-                         metavar="MB",
+                              "entry count (default %(default)s)")
+    p_serve.add_argument("--memo-mb", type=_positive(float),
+                         default=ArtifactCache.MEMO_BYTE_LIMIT
+                         // (1024 * 1024), metavar="MB",
                          help="bound the in-memory artifact memo by "
-                              "size (default 512)")
+                              "size (default %(default)s)")
     p_serve.add_argument("--journal", default=None, metavar="DIR",
                          help="durable job-lifecycle journal directory;"
                               " a restarted server replays finished "
                               "jobs and marks in-flight ones "
                               "interrupted")
-    p_serve.add_argument("--max-jobs", type=int, default=None,
-                         metavar="N",
+    p_serve.add_argument("--max-jobs", type=_positive(int),
+                         default=AnalysisService.MAX_JOBS, metavar="N",
                          help="bound the in-memory job table; oldest "
                               "finished records evict past N "
-                              "(default 256)")
+                              "(default %(default)s)")
     p_serve.set_defaults(func=cmd_serve)
 
     p_an = sub.add_parser(

@@ -52,6 +52,9 @@ class FixpointStats:
     the ones spent in narrowing passes — unlike the historical FIFO
     solver's counter, which silently ignored narrowing.  This makes the
     number an honest, reproducible cost measure usable as a CI guard.
+    Like every work-counter record, its fields are exactly what it
+    reports: rows, ``run_perf.py`` and the text report read it as
+    ``vars(stats)``.
     """
 
     transfers: int = 0
@@ -62,22 +65,6 @@ class FixpointStats:
     copies: int = 0
     component_iterations: int = 0
     wto_components: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "transfers": self.transfers,
-            "joins": self.joins,
-            "widenings": self.widenings,
-            "narrowings": self.narrowings,
-            "leq_calls": self.leq_calls,
-            "copies": self.copies,
-            "component_iterations": self.component_iterations,
-            "wto_components": self.wto_components,
-        }
-
-    def __str__(self) -> str:
-        return (f"{self.transfers} transfers, {self.joins} joins, "
-                f"{self.widenings} widenings, {self.leq_calls} leq")
 
 
 # -- Weak topological ordering -------------------------------------------------

@@ -40,8 +40,8 @@ class SweepResult:
     cache_dir: Optional[str] = None
     used_cache: bool = True
     errors: List[str] = field(default_factory=list)
-    #: DAG scheduler statistics:
-    #: :meth:`repro.batch.scheduler.SchedulerStats.as_dict`.
+    #: DAG scheduler statistics: the fields of
+    #: :class:`repro.batch.scheduler.SchedulerStats`.
     scheduler: Optional[dict] = None
 
     @property
@@ -128,7 +128,7 @@ def run_sweep(jobs: List[JobSpec],
                          wall_seconds=time.perf_counter() - start,
                          parallel=parallel, cache_dir=cache_dir,
                          used_cache=use_cache, errors=errors,
-                         scheduler=stats.as_dict())
+                         scheduler=dict(vars(stats)))
     if jsonl_path:
         result.write_jsonl(jsonl_path)
     return result

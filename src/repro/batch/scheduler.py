@@ -28,7 +28,9 @@ transitive dependents fail into error rows; a dead worker
 heap and the pool is rebuilt a bounded number of times, after which
 the same loop carries on without a pool — slower, but every row still
 completes with bit-identical bounds.  The retry/rebuild/degraded
-counters land in :class:`SchedulerStats`.
+counters land in :class:`SchedulerStats`, a plain record whose fields
+are the keys of ``SweepResult.scheduler`` (read as
+``dict(vars(stats))``, like every work-counter record).
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ def _result_row(spec: JobSpec, result: WCETResult,
                   "contexts": len(result.graph.contexts())},
         "icache": dict(vars(result.icache.stats)),
         "dcache": dict(vars(result.dcache.stats)),
-        "solver_stats": {name: stats.as_dict()
+        "solver_stats": {name: dict(vars(stats))
                          for name, stats in result.solver_stats.items()},
         "phase_seconds": {phase: round(seconds, 6)
                           for phase, seconds
@@ -268,7 +270,9 @@ def _pool_context():
 
 @dataclass
 class SchedulerStats:
-    """What the DAG scheduler did with a sweep."""
+    """What the DAG scheduler did with a sweep.  :func:`run_dag` fills
+    the last four fields when it finishes; the sweep engine reads the
+    record as ``dict(vars(stats))``."""
 
     workers: int
     phase_refs: int = 0
@@ -285,49 +289,15 @@ class SchedulerStats:
     #: tasks executed in-process after the rebuild budget ran out
     #: (0 = the sweep never degraded).
     degraded_tasks: int = 0
+    #: quarantine events, summed over the workers' latest cache counters.
+    quarantined: int = 0
     wall_seconds: float = 0.0
-    #: worker pid -> seconds spent executing tasks.
-    worker_busy: Dict[int, float] = field(default_factory=dict)
-    #: worker pid -> latest ArtifactCache.memo_stats() snapshot.
-    worker_memo: Dict[int, dict] = field(default_factory=dict)
-    #: worker pid -> latest cumulative quarantine count of its cache.
-    worker_quarantined: Dict[int, int] = field(default_factory=dict)
-
-    def busy_fractions(self) -> Dict[str, float]:
-        if self.wall_seconds <= 0:
-            return {}
-        return {str(pid): round(busy / self.wall_seconds, 4)
-                for pid, busy in sorted(self.worker_busy.items())}
-
-    def memo_summary(self) -> dict:
-        """Pool-wide in-memory memo occupancy (summed over workers)."""
-        return {"entries": sum(m.get("entries", 0)
-                               for m in self.worker_memo.values()),
-                "bytes": sum(m.get("bytes", 0)
-                             for m in self.worker_memo.values()),
-                "evictions": sum(m.get("evictions", 0)
-                                 for m in self.worker_memo.values())}
-
-    @property
-    def quarantined(self) -> int:
-        """Pool-wide quarantine events (summed over worker caches)."""
-        return sum(self.worker_quarantined.values())
-
-    def as_dict(self) -> dict:
-        return {"workers": self.workers,
-                "phase_refs": self.phase_refs,
-                "unique_tasks": self.unique_tasks,
-                "deduped_tasks": self.deduped_tasks,
-                "computed_tasks": self.computed_tasks,
-                "cache_served_tasks": self.cache_served_tasks,
-                "steals": self.steals,
-                "retries": self.retries,
-                "pool_rebuilds": self.pool_rebuilds,
-                "degraded_tasks": self.degraded_tasks,
-                "quarantined": self.quarantined,
-                "wall_seconds": round(self.wall_seconds, 6),
-                "worker_busy_fraction": self.busy_fractions(),
-                "memo": self.memo_summary()}
+    #: worker pid (as a string) -> fraction of the wall clock it spent
+    #: executing tasks.
+    worker_busy_fraction: Dict[str, float] = field(default_factory=dict)
+    #: in-memory memo occupancy (entries, bytes, evictions), summed
+    #: over the workers' latest ``ArtifactCache.memo_stats()``.
+    memo: Dict[str, int] = field(default_factory=dict)
 
 
 def _error_row(spec: JobSpec, message: str) -> dict:
@@ -408,16 +378,21 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
         heapq.heappush(deferred, (time.monotonic() + delay,
                                   next(deferred_seq), node))
 
+    # Per worker pid: seconds spent executing tasks, and the latest
+    # memo snapshot and cumulative quarantine count of its cache.
+    busy: Dict[int, float] = {}
+    memo: Dict[int, dict] = {}
+    quarantined: Dict[int, int] = {}
+
     def absorb(node: TaskNode, outcome: dict) -> List[TaskNode]:
         """Book one task outcome; error outcomes go through the retry
         budget.  Returns the newly-released dependents."""
         pid = outcome["pid"]
         seconds = outcome["seconds"]
-        stats.worker_busy[pid] = \
-            stats.worker_busy.get(pid, 0.0) + seconds
+        busy[pid] = busy.get(pid, 0.0) + seconds
         if "memo" in outcome:
-            stats.worker_memo[pid] = outcome["memo"]
-            stats.worker_quarantined[pid] = outcome["quarantined"]
+            memo[pid] = outcome["memo"]
+            quarantined[pid] = outcome["quarantined"]
         error = outcome.get("error")
         if error is not None:
             retry_or_fail(node, error)
@@ -539,7 +514,16 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
         if row is None and sweep.row_nodes[job_index] is not None:
             rows[job_index] = _error_row(sweep.jobs[job_index],
                                          "job did not complete")
-    stats.wall_seconds = time.perf_counter() - start
+    wall = time.perf_counter() - start
+    stats.wall_seconds = round(wall, 6)
+    if wall > 0:
+        stats.worker_busy_fraction = {
+            str(pid): round(seconds / wall, 4)
+            for pid, seconds in sorted(busy.items())}
+    stats.quarantined = sum(quarantined.values())
+    stats.memo = {name: sum(snapshot.get(name, 0)
+                            for snapshot in memo.values())
+                  for name in ("entries", "bytes", "evictions")}
     return rows, stats
 
 

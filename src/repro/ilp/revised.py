@@ -291,6 +291,7 @@ class RevisedSimplex:
                 degenerate_run += 1
                 if degenerate_run > self.bland_threshold:
                     bland = True
+            self.stats.pivots += 1
             if phase == 1:
                 self.stats.phase1_pivots += 1
             else:
@@ -407,6 +408,7 @@ class RevisedSimplex:
             self._pivot(r, j, w, float(d[j]),
                         NB_LOWER if below else NB_UPPER)
             self.xB[r] = entering_value
+            self.stats.pivots += 1
             self.stats.dual_pivots += 1
             self._keep_accurate(c)
         return "fallback"

@@ -106,9 +106,7 @@ class PathAnalysis:
         solution = relaxation
         integral = relaxation.is_integral()
         if integer and not integral:
-            ilp_stats = ILPStats()
-            solution = solve_ilp(program, stats=ilp_stats)
-            stats.absorb(ilp_stats)
+            solution = solve_ilp(program, stats=stats)
             integral = True
 
         # Expand the supernode profile back to per-node/per-edge counts:

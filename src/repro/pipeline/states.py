@@ -122,11 +122,6 @@ class StateSetStats:
     cap_merges: int = 0         # state merges forced by the cap
     walked_states: int = 0      # block walks performed
 
-    def as_dict(self) -> Dict[str, int]:
-        return {"peak_states": self.peak_states,
-                "cap_merges": self.cap_merges,
-                "walked_states": self.walked_states}
-
 
 class PipeStateSet:
     """A canonical, dominance-pruned, cap-bounded set of states.

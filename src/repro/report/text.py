@@ -95,12 +95,6 @@ def wcet_report(result: WCETResult,
     out(f"   cumulative per-execution block cost: {total_base} cycles")
     out(f"   one-time (persistence) cost: "
         f"{result.timing.total_onetime()} cycles")
-    states = result.timing.state_stats
-    if states is not None:
-        out(f"   pipeline states: {states.peak_states} max per block, "
-            f"{states.walked_states} block walks, "
-            f"{states.cap_merges} cap merges "
-            f"(cap {result.config.pipeline_state_cap})")
     out("")
 
     out("-- Phase 6: path analysis (IPET)")
@@ -109,19 +103,6 @@ def wcet_report(result: WCETResult,
             f"{result.path.lp_supernodes} supernodes")
     out(f"   ILP: {result.path.num_variables} variables, "
         f"{result.path.num_constraints} constraints")
-    solver = result.path.solver_stats
-    if solver is not None:
-        out(f"   solver: {solver.pivots} pivots "
-            f"({solver.phase1_pivots} p1 / {solver.phase2_pivots} p2 / "
-            f"{solver.dual_pivots} dual), {solver.bound_flips} bound "
-            f"flips, {solver.bland_pivots} Bland pivots, "
-            f"{solver.refactorizations} refactorizations")
-        out(f"   presolve removed {solver.presolve_rows_removed} rows / "
-            f"{solver.presolve_cols_removed} cols")
-        if solver.bb_nodes:
-            out(f"   branch & bound: {solver.bb_nodes} nodes, "
-                f"{solver.warm_start_hits} warm starts, "
-                f"{solver.cold_solves} cold solves")
     out(f"   LP relaxation: {result.path.lp_bound:.1f} cycles "
         f"({'integral' if result.path.integral else 'fractional'})")
     out("")
@@ -139,13 +120,15 @@ def wcet_report(result: WCETResult,
     for phase, seconds in result.phase_seconds.items():
         out(f"   {phase:<12} {seconds * 1000:8.2f} ms")
     out(f"   {'total':<12} {result.total_seconds * 1000:8.2f} ms")
-    fixpoint_phases = {phase: stats
-                       for phase, stats in result.solver_stats.items()
-                       if phase != "path"}
-    if fixpoint_phases:
-        out("-- Fixpoint work (shared WTO kernel)")
-        for phase, stats in fixpoint_phases.items():
-            out(f"   {phase:<12} {stats}")
+    records = dict(result.solver_stats)
+    if result.timing.state_stats is not None:
+        records["states"] = result.timing.state_stats
+    if records:
+        out("-- Work counters")
+        for name, record in records.items():
+            counters = " ".join(f"{field}={value}"
+                                for field, value in vars(record).items())
+            out(f"   {name:<12} {counters}")
     out("=" * 66)
     return "\n".join(lines) + "\n"
 

@@ -124,34 +124,27 @@ def response_times(taskset: TaskSet,
         limit = task.effective_deadline
         gamma = {p.name: crpd[(task.name, p.name)] for p in hp}
 
-        def recurrence(R: int, c_i=c_i, hp=hp, gamma=gamma) -> int:
-            total = c_i
-            for preemptor in hp:
-                arrivals = _ceil_div(R + preemptor.jitter,
-                                     preemptor.period)
-                total += arrivals * (wcet_cycles[preemptor.name]
-                                     + gamma[preemptor.name] + switch)
-            return total
+        def solve(gamma: Mapping[str, int]) -> Tuple[Optional[int], int]:
+            # C_j + γ_ij + CS: what one release of preemptor j costs.
+            cost = {p.name: wcet_cycles[p.name] + gamma[p.name] + switch
+                    for p in hp}
 
-        response, iterations = solve_recurrence(c_i, recurrence, limit)
-        naive_response: Optional[int] = None
-        naive_iterations = 0
-        if naive_crpd is not None:
-            naive_gamma = {p.name: naive_crpd for p in hp}
-
-            def naive_rec(R: int, c_i=c_i, hp=hp,
-                          gamma=naive_gamma) -> int:
+            def recurrence(R: int) -> int:
                 total = c_i
                 for preemptor in hp:
                     arrivals = _ceil_div(R + preemptor.jitter,
                                          preemptor.period)
-                    total += arrivals * (wcet_cycles[preemptor.name]
-                                         + gamma[preemptor.name]
-                                         + switch)
+                    total += arrivals * cost[preemptor.name]
                 return total
 
-            naive_response, naive_iterations = solve_recurrence(
-                c_i, naive_rec, limit)
+            return solve_recurrence(c_i, recurrence, limit)
+
+        response, iterations = solve(gamma)
+        naive_response: Optional[int] = None
+        naive_iterations = 0
+        if naive_crpd is not None:
+            naive_response, naive_iterations = solve(
+                dict.fromkeys(gamma, naive_crpd))
         responses.append(TaskResponse(
             name=task.name, priority=task.priority,
             period=task.period, deadline=limit,

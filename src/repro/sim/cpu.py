@@ -209,14 +209,7 @@ class Simulator:
         in R0 — the concrete counterpart of the analysis' entry
         annotations.
         """
-        if arguments:
-            for reg, value in arguments.items():
-                self.regs[reg] = value & _WORD
-        while not self.halted:
-            if self.steps >= max_steps:
-                raise OutOfFuel(f"no HALT within {max_steps} steps")
-            self.step()
-        return self.result()
+        return self.run_preemptive((), max_steps, arguments)
 
     def result(self) -> ExecutionResult:
         return ExecutionResult(

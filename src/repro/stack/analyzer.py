@@ -12,16 +12,14 @@ the maximum stack usage is ever observed".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Type
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..analysis.domain import AbstractValue
-from ..analysis.interval import Interval
 from ..analysis.transfer import transfer_instruction
-from ..analysis.valueanalysis import ValueAnalysisResult, analyze_values
-from ..cfg.builder import build_cfg
-from ..cfg.expand import NodeId, expand_task
+from ..analysis.valueanalysis import ValueAnalysisResult
+from ..cfg.expand import NodeId
 from ..isa.program import Program
 from ..isa.registers import SP
+from ..wcet.ait import PHASES
 
 
 class StackAnalysisError(ValueError):
@@ -50,21 +48,11 @@ class StackAnalysisResult:
 
 
 class StackAnalyzer:
-    """Whole-task stack usage analysis built on value analysis."""
+    """Whole-task stack usage analysis over a value-analysis artifact
+    (e.g. ``WCETResult.values``, or :func:`analyze_stack`'s own)."""
 
-    def __init__(self, program: Program,
-                 domain: Type[AbstractValue] = Interval,
-                 values: Optional[ValueAnalysisResult] = None,
-                 register_ranges: Optional[
-                     Dict[int, Tuple[int, int]]] = None,
-                 indirect_targets: Optional[
-                     Dict[int, Sequence[int]]] = None):
+    def __init__(self, program: Program, values: ValueAnalysisResult):
         self.program = program
-        if values is None:
-            graph = expand_task(build_cfg(program,
-                                          indirect_targets=indirect_targets))
-            values = analyze_values(graph, domain=domain,
-                                    register_ranges=register_ranges)
         self.values = values
 
     def analyze(self) -> StackAnalysisResult:
@@ -123,6 +111,15 @@ def analyze_stack(program: Program,
                   indirect_targets: Optional[
                       Dict[int, Sequence[int]]] = None
                   ) -> StackAnalysisResult:
-    """Run StackAnalyzer on a task binary."""
-    return StackAnalyzer(program, register_ranges=register_ranges,
-                         indirect_targets=indirect_targets).analyze()
+    """Run StackAnalyzer on a task binary: the cfg/value prefix of the
+    aiT pipeline as a one-job plan on the batch executor (the same
+    phase steps :func:`~repro.wcet.ait.analyze_wcet` runs), then the
+    stack-pointer walk over its value artifact."""
+    from ..batch.dag import JobPlan
+    from ..batch.scheduler import run_plans
+
+    plan = JobPlan(program, phases=PHASES[:2],
+                   register_ranges=register_ranges,
+                   indirect_targets=indirect_targets)
+    values = run_plans([plan])[1].artifact(0, "value")
+    return StackAnalyzer(program, values).analyze()

@@ -296,6 +296,21 @@ class TestSchedulerDeterminism:
         assert [stats[1][key] for key in keys] == [14, 9, 5]
         assert [stats[2][key] for key in keys] == [14, 9, 5]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scheduler_dict_keys(self, workers):
+        # The keys `repro batch`, perfbench and benchmarks/run_perf.py
+        # read from SweepResult.scheduler, at both executors.
+        clear_process_caches()
+        stats = run_sweep(expand_matrix("fibcall:full:additive"),
+                          parallel=workers).scheduler
+        assert set(stats) == {
+            "workers", "phase_refs", "unique_tasks", "deduped_tasks",
+            "computed_tasks", "cache_served_tasks", "steals", "retries",
+            "pool_rebuilds", "degraded_tasks", "quarantined",
+            "wall_seconds", "worker_busy_fraction", "memo"}
+        assert set(stats["memo"]) == {"entries", "bytes", "evictions"}
+        assert 0 < len(stats["worker_busy_fraction"]) <= workers
+
     def test_no_cache_sweep_matches_golden_and_still_dedups(self):
         # --no-cache means no store, not a degraded DAG: the pool still
         # shares tasks across jobs (through a temporary spill store),

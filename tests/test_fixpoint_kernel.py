@@ -284,7 +284,7 @@ r = f(3) + f(7); }"""
     def _counters(self):
         graph = expand_task(build_cfg(compile_program(self.SOURCE)))
         values = analyze_values(graph)
-        return values.fixpoint.stats.as_dict()
+        return dict(vars(values.fixpoint.stats))
 
     def test_counters_reproducible_across_runs(self):
         first = self._counters()

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.cfg import VIVU
 from repro.isa import assemble
 from repro.report import wcet_dot, wcet_report, worst_case_path_table
 from repro.stack import analyze_stack
 from repro.wcet import analyze_wcet
+from repro.workloads.suite import analyze_workload, get_workload
 
 SOURCE = """
 main:
@@ -56,6 +58,27 @@ class TestTextReport:
         text = wcet_report(wcet)
         assert "StackAnalyzer" not in text
         assert "WCET BOUND" in text
+
+    def test_work_counter_lines_list_every_field(self):
+        # One line per work-counter record, every field as name=value:
+        # a krisc5 VIVU point has all six records, and calltree's path
+        # LP pivots.
+        result = analyze_workload(get_workload("calltree"),
+                                  context_policy=VIVU(peel=1),
+                                  pipeline_model="krisc5")
+        records = dict(result.solver_stats,
+                       states=result.timing.state_stats)
+        assert list(records) == ["value", "icache", "dcache", "pipeline",
+                                 "path", "states"]
+        assert records["path"].pivots > 0
+        lines = wcet_report(result).splitlines()
+        assert any("chain contraction" in line for line in lines)
+        counters = lines[lines.index("-- Work counters") + 1:]
+        for name, record in records.items():
+            words = next(line.split() for line in counters
+                         if line.split()[0] == name)
+            assert words[1:] == [f"{field}={value}" for field, value
+                                 in vars(record).items()]
 
     def test_path_table_lists_loop_block(self, analysis):
         program, wcet, _stack = analysis

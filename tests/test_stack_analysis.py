@@ -6,8 +6,10 @@ import pytest
 from repro.isa import assemble
 from repro.isa.program import MemoryMap
 from repro.sim import run_program
-from repro.stack import (StackAnalysisError, TaskSpec, analyze_stack,
-                         analyze_system_stack)
+from repro.batch import parse_policy
+from repro.stack import (StackAnalysisError, StackAnalyzer, TaskSpec,
+                         analyze_stack, analyze_system_stack)
+from repro.workloads.suite import analyze_workload, get_workload
 
 
 def bound_and_actual(source, arguments=None):
@@ -141,6 +143,19 @@ class TestStackAnalyzer:
     def test_summary_text(self):
         result, _ = bound_and_actual("main: HALT\n")
         assert "stack usage" in result.summary()
+
+    @pytest.mark.parametrize("policy", ["full", "klimited", "vivu"])
+    def test_wcet_value_artifact_gives_the_same_bound(self, policy):
+        # `repro wcet` runs StackAnalyzer on the WCET run's own value
+        # artifact, whatever its context policy.
+        workload = get_workload("calltree")
+        program = workload.compile()
+        wcet = analyze_workload(workload, program=program,
+                                context_policy=parse_policy(policy))
+        own = StackAnalyzer(program, wcet.values).analyze()
+        reference = analyze_stack(program)
+        assert (own.bound, own.per_function) \
+            == (reference.bound, reference.per_function)
 
 
 class TestOSEKSystemAnalysis:

@@ -123,23 +123,54 @@ class TestCLI:
             in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, flag", [
-        (["wcet", "--reg-range", "R0=5"], "--reg-range"),
-        (["wcet", "--reg-range", "R0"], "--reg-range"),
-        (["wcet", "--loop-bound", "0x10=abc"], "--loop-bound"),
-        (["run", "--reg", "Rx=1"], "--reg"),
-        (["wcet", "--reg-range", "R0=5:1"], "--reg-range"),
-        (["wcet", "--loop-bound", "0x10=0"], "--loop-bound"),
-        (["wcet", "--loop-bound", "0x10=-3"], "--loop-bound"),
+        (["wcet", "FILE", "--reg-range", "R0=5"], "--reg-range"),
+        (["wcet", "FILE", "--reg-range", "R0"], "--reg-range"),
+        (["wcet", "FILE", "--loop-bound", "0x10=abc"], "--loop-bound"),
+        (["run", "FILE", "--reg", "Rx=1"], "--reg"),
+        (["wcet", "FILE", "--reg-range", "R0=5:1"], "--reg-range"),
+        (["wcet", "FILE", "--loop-bound", "0x10=0"], "--loop-bound"),
+        (["wcet", "FILE", "--loop-bound", "0x10=-3"], "--loop-bound"),
+        (["batch", "--matrix", "fibcall:full:additive", "--jobs", "0"],
+         "--jobs"),
+        (["batch", "--matrix", "fibcall:full:additive", "--jobs", "-2"],
+         "--jobs"),
+        (["batch", "--matrix", "fibcall:full:additive",
+          "--cache-limit-mb", "-5"], "--cache-limit-mb"),
+        (["serve", "--workers", "0"], "--workers"),
+        (["serve", "--max-jobs", "0"], "--max-jobs"),
+        (["serve", "--memo-entries", "0"], "--memo-entries"),
+        (["serve", "--memo-mb", "0"], "--memo-mb"),
     ], ids=["range-without-hi", "range-without-value", "bound-not-int",
             "unknown-register", "empty-range", "zero-bound",
-            "negative-bound"])
+            "negative-bound", "zero-jobs", "negative-jobs",
+            "negative-cache-limit", "zero-workers", "zero-max-jobs",
+            "zero-memo-entries", "zero-memo-mb"])
     def test_malformed_annotation_is_usage_error(self, c_file, capsys,
                                                  argv, flag):
-        command, *flags = argv
+        # FILE stands for the input file of the commands that take one.
         with pytest.raises(SystemExit) as exit_info:
-            cli_main([command, c_file, *flags])
+            cli_main([c_file if arg == "FILE" else arg for arg in argv])
         assert exit_info.value.code == 2
         assert f"argument {flag}: expected" in capsys.readouterr().err
+
+    def test_wcet_runs_value_analysis_once(self, c_file, monkeypatch,
+                                           capsys):
+        # The StackAnalyzer section reads the WCET run's own value
+        # artifact instead of running a second value analysis.
+        from repro.analysis import valueanalysis
+
+        solver = valueanalysis.FixpointSolver
+        analyses = []
+
+        def counting_solver(*args, **kwargs):
+            analyses.append(args)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(valueanalysis, "FixpointSolver",
+                            counting_solver)
+        assert cli_main(["wcet", c_file]) == 0
+        assert "StackAnalyzer" in capsys.readouterr().out
+        assert len(analyses) == 1
 
     def test_wcet_manual_loop_bound(self, tmp_path, capsys):
         path = tmp_path / "input.s"
