@@ -467,8 +467,7 @@ def main(argv=None) -> int:
         # Context-explosion guard: k-limiting must never expand the
         # graph beyond the full-call-string baseline.
         sizes = point["contexts_by_policy"]
-        if sizes["k-callstring(k=2)"]["nodes"] \
-                > sizes["full-callstring"]["nodes"]:
+        if sizes["klimited@2"]["nodes"] > sizes["full"]["nodes"]:
             failures.append(
                 f"k-limited expansion larger than full call strings at "
                 f"{point['stages']} stages")

@@ -17,12 +17,15 @@ import math
 import sys
 from typing import List, Optional, Tuple
 
-from .cfg.contexts import make_policy
+from .batch.jobs import expand_matrix
+from .cfg.contexts import parse_policy
 from .isa import assemble, disassemble
 from .isa.program import Program
 from .isa.registers import parse_register
 from .lang import compile_program
 from .report import wcet_dot, wcet_report, worst_case_path_table
+from .rta.sweep import parse_geometry
+from .rta.taskset import ORDERINGS
 from .sim import run_program
 from .stack import StackAnalyzer, analyze_stack
 from .wcet import analyze_wcet
@@ -81,6 +84,32 @@ def _register_value(text: str) -> Tuple[int, int]:
     return parse_register(register), int(value, 0)
 
 
+_policy = _annotation("full, klimited[@K] or vivu[@PEEL[@K]]")(parse_policy)
+
+
+@_annotation("WORKLOADS:POLICIES:MODELS")
+def _matrix(text: str) -> str:
+    expand_matrix(text)
+    return text
+
+
+@_annotation(f"a comma list of {', '.join(ORDERINGS)}")
+def _orderings(text: str) -> List[str]:
+    orderings = text.split(",")
+    for ordering in orderings:
+        if ordering not in ORDERINGS:
+            raise ValueError(f"unknown ordering {ordering!r}")
+    return orderings
+
+
+@_annotation("a comma list of SETSxASSOCxLINE")
+def _geometries(text: str) -> List[str]:
+    geometries = text.split(",")
+    for geometry in geometries:
+        parse_geometry(geometry)
+    return geometries
+
+
 def _positive(number: type):
     """Flag type for a count (``int``) or size (``float``): a finite
     number above zero."""
@@ -95,10 +124,9 @@ def _positive(number: type):
 
 def cmd_wcet(args: argparse.Namespace) -> int:
     program = _load_program(args.file)
-    policy = make_policy(args.context_policy, k=args.k, peel=args.peel)
     result = analyze_wcet(program, manual_loop_bounds=dict(args.loop_bound),
                           register_ranges=dict(args.reg_range) or None,
-                          context_policy=policy,
+                          context_policy=args.context_policy,
                           pipeline_model=args.pipeline_model,
                           profile=args.profile)
     stack = StackAnalyzer(program, result.values).analyze()
@@ -162,18 +190,15 @@ def _rta_sweep(args: argparse.Namespace) -> int:
     from .batch.cachestore import ArtifactCache
     from .rta.sweep import (GEOMETRIES, compare_with_golden,
                             load_golden, save_golden, sweep_taskset)
-    from .rta.taskset import ORDERINGS, load_taskset
+    from .rta.taskset import load_taskset
 
     cache = ArtifactCache(args.cache_dir)
-    orderings = args.orderings.split(",") if args.orderings \
-        else ORDERINGS
-    geometries = args.geometries.split(",") if args.geometries \
-        else GEOMETRIES
     rows = []
     for path in args.files:
         rows.extend(sweep_taskset(load_taskset(path),
-                                  orderings=orderings,
-                                  geometries=geometries, cache=cache))
+                                  orderings=args.orderings or ORDERINGS,
+                                  geometries=args.geometries or GEOMETRIES,
+                                  cache=cache))
     header = (f"{'taskset':<16} {'ordering':<16} {'geometry':<9} "
               f"{'verdict':<14} responses")
     print(header)
@@ -428,6 +453,25 @@ def _add_annotation_flags(parser: argparse.ArgumentParser) -> None:
                         help="entry value range annotation")
 
 
+#: Flags that mean something only beside another flag, or nothing
+#: beside it: (command, flag, other, whether ``flag`` needs ``other``).
+#: Breaking a rule is a usage error, not a silently ignored flag.
+_FLAG_RULES = (
+    ("batch", "--cache-limit-mb", "--cache-dir", True),
+    ("batch", "--no-cache", "--cache-dir", False),
+    ("serve", "--cache-limit-mb", "--cache-dir", True),
+    ("rta", "--verify", "--sweep", False),
+    ("rta", "--golden", "--sweep", True),
+    ("rta", "--write-golden", "--sweep", True),
+    ("rta", "--orderings", "--sweep", True),
+    ("rta", "--geometries", "--sweep", True),
+)
+
+
+def _given(args: argparse.Namespace, flag: str) -> bool:
+    return getattr(args, flag[2:].replace("-", "_")) not in (None, False)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -441,21 +485,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_wcet.add_argument("--path", action="store_true",
                         help="print the worst-case path table")
     _add_annotation_flags(p_wcet)
-    p_wcet.add_argument("--context-policy", default="full",
-                        choices=["full", "klimited", "vivu"],
-                        help="context sensitivity: full call strings "
-                             "(default), k-limited call strings, or "
-                             "VIVU loop peeling")
-    p_wcet.add_argument("--k", type=int, default=None, metavar="K",
-                        help="call-string depth: required meaningfully "
-                             "by --context-policy klimited (default 2); "
-                             "optional for vivu (combines peeling with "
-                             "k-limited call strings)")
-    p_wcet.add_argument("--peel", type=int, default=1, metavar="N",
-                        help="loop iterations peeled per loop for "
-                             "--context-policy vivu (default 1; higher "
-                             "values can loosen the bound where "
-                             "persistence already covered the loop)")
+    p_wcet.add_argument("--context-policy", default="full", type=_policy,
+                        metavar="TOKEN",
+                        help="context policy: full call strings "
+                             "(full, the default), the last K call "
+                             "sites (klimited[@K], K default 2), or "
+                             "VIVU loop peeling (vivu[@PEEL[@K]], PEEL "
+                             "default 1)")
     p_wcet.add_argument("--pipeline-model", default="additive",
                         choices=["additive", "krisc5"],
                         help="machine timing model: per-instruction "
@@ -477,7 +513,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run.add_argument("--reg", action="append", default=[],
                        type=_register_value, metavar="Rk=V",
                        help="initial register value")
-    p_run.add_argument("--max-steps", type=int, default=1_000_000)
+    p_run.add_argument("--max-steps", type=_positive(int),
+                       default=1_000_000)
     p_run.add_argument("--pipeline-model", default="additive",
                        choices=["additive", "krisc5"],
                        help="timing model to account cycles under")
@@ -489,7 +526,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_batch = sub.add_parser(
         "batch", help="run an analysis sweep over the workload matrix")
-    p_batch.add_argument("--matrix", default="all:all:all",
+    p_batch.add_argument("--matrix", default="all:all:all", type=_matrix,
                         metavar="W:P:M",
                         help="sweep matrix WORKLOADS:POLICIES:MODELS; "
                              "each component a comma list or 'all' "
@@ -541,10 +578,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_rta.add_argument("--sweep", action="store_true",
                        help="sweep priority orderings x cache "
                             "geometries instead of a single analysis")
-    p_rta.add_argument("--orderings", default=None, metavar="LIST",
+    p_rta.add_argument("--orderings", default=None, type=_orderings,
+                       metavar="LIST",
                        help="comma list of priority orderings "
                             "(given, rate_monotonic, reverse)")
-    p_rta.add_argument("--geometries", default=None, metavar="LIST",
+    p_rta.add_argument("--geometries", default=None, type=_geometries,
+                       metavar="LIST",
                        help="comma list of cache geometries, each "
                             "SETSxASSOCxLINE (e.g. 16x2x16)")
     p_rta.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -555,8 +594,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "(S7/S8) after analysis")
     p_rta.add_argument("--golden", default=None, metavar="PATH",
                        help="assert sweep verdicts match this golden "
-                            "JSON file (implies nothing without "
-                            "--sweep)")
+                            "JSON file")
     p_rta.add_argument("--write-golden", default=None, metavar="PATH",
                        help="write/refresh golden sweep verdicts")
     p_rta.set_defaults(func=cmd_rta)
@@ -629,7 +667,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_an.set_defaults(func=cmd_analyze)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    for command, flag, other, needed in _FLAG_RULES:
+        if command == args.command and _given(args, flag) \
+                and _given(args, other) != needed:
+            relation = "requires" if needed else "cannot be combined with"
+            sub.choices[command].error(f"{flag} {relation} {other}")
+    try:
+        return args.func(args)
+    except (OSError, ValueError, RuntimeError) as exc:
+        print(f"repro: error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

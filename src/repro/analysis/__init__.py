@@ -8,7 +8,7 @@ live here.
 """
 
 from .constprop import Const
-from .domain import AbstractValue, INT_MAX, INT_MIN, to_signed, to_unsigned
+from .domain import AbstractValue, INT_MAX, INT_MIN, to_signed
 from .interval import Interval
 from .strided import StridedInterval
 from .loopbounds import (LoopBound, LoopBoundAnalysis, analyze_loop_bounds)
@@ -26,7 +26,7 @@ from .vectorized import AddressSpace, VectorMemory
 
 __all__ = [
     "Const", "AbstractValue", "INT_MAX", "INT_MIN", "to_signed",
-    "to_unsigned", "Interval", "StridedInterval",
+    "Interval", "StridedInterval",
     "LoopBound", "LoopBoundAnalysis", "analyze_loop_bounds",
     "FixpointKernel", "FixpointSemantics", "FixpointStats",
     "WeakTopologicalOrder", "WTOComponent", "WTOVertex",

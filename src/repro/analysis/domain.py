@@ -29,11 +29,6 @@ def to_signed(word: int) -> int:
     return word - (1 << 32) if word & (1 << 31) else word
 
 
-def to_unsigned(value: int) -> int:
-    """Unsigned 32-bit view of a signed value."""
-    return value & WORD_MASK
-
-
 class AbstractValue(abc.ABC):
     """One abstract value: a description of a set of 32-bit words.
 

@@ -122,10 +122,6 @@ class Interval(AbstractValue):
     def signed_bounds(self) -> Tuple[int, int]:
         return (self.lo, self.hi)
 
-    def width(self) -> int:
-        """Number of values described (0 for bottom)."""
-        return 0 if self.is_bottom() else self.hi - self.lo + 1
-
     # -- Arithmetic -------------------------------------------------------------
 
     def _lift(self, other: "Interval", lo: int, hi: int) -> "Interval":

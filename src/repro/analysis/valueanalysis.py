@@ -7,8 +7,10 @@ artifacts the later phases need:
 * **address ranges of every memory access** — "possible addresses of
   indirect memory accesses — important for cache analysis" (Section 3),
 * **infeasible edges** from conditions that always evaluate the same
-  way — such paths "need not be determined in the first place",
-* stack-pointer bounds for StackAnalyzer.
+  way — such paths "need not be determined in the first place".
+
+:class:`~repro.stack.analyzer.StackAnalyzer` reads the stack pointer
+from the per-point states itself; this module derives nothing for it.
 """
 
 from __future__ import annotations

@@ -8,12 +8,13 @@ changed.  CI, the perf harness, the workload suite, and the
 ``repro batch`` CLI all drive this one engine.
 """
 
+from ..cfg.contexts import parse_policy
 from .cachestore import ArtifactCache, code_version_salt
 from .dag import JobPlan, SweepDAG, TaskDAG, TaskNode, build_sweep_dag
 from .engine import SweepResult, run_sweep
 from .golden import (compare_rows, flatten_golden, golden_from_rows,
                      load_golden, merge_golden, save_golden)
-from .jobs import ALL_POLICIES, JobSpec, expand_matrix, parse_policy
+from .jobs import ALL_POLICIES, JobSpec, expand_matrix
 from .scheduler import SchedulerStats, clear_process_caches, run_dag
 
 __all__ = [

@@ -7,8 +7,9 @@ sweep with a compact matrix string::
     WORKLOADS:POLICIES:MODELS
 
 where each component is a comma-separated list or ``all`` (omitted
-trailing components default to ``all``).  Policy tokens parameterise
-the context-sensitivity schemes of :mod:`repro.cfg.contexts`:
+trailing components default to ``all``).  Policy tokens are parsed by
+:func:`repro.cfg.contexts.parse_policy`, the one parser ``repro wcet``
+and serve requests share:
 
 * ``full`` — unbounded call strings,
 * ``klimited`` / ``klimited@K`` — call strings truncated to K sites
@@ -29,42 +30,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..cache.config import PIPELINE_MODELS
-from ..cfg.contexts import ContextPolicy, make_policy
+from ..cfg.contexts import ContextPolicy, parse_policy
 from ..workloads.suite import workload_names
 
 #: Policy tokens expanded by ``all`` (the sweep the bit-identity
 #: claims of the golden-bounds suite are stated over).
 ALL_POLICIES = ("full", "klimited", "vivu")
-
-
-def parse_policy(token: str) -> ContextPolicy:
-    """Build a context policy from a matrix token (see module doc)."""
-    name, _, params = token.partition("@")
-    values = [part for part in params.split("@") if part] if params else []
-    try:
-        numbers = [int(value) for value in values]
-    except ValueError:
-        raise ValueError(f"bad policy token {token!r}: "
-                         "parameters must be integers") from None
-    if name == "full":
-        if numbers:
-            raise ValueError(f"policy 'full' takes no parameters "
-                             f"(got {token!r})")
-        return make_policy("full")
-    if name == "klimited":
-        if len(numbers) > 1:
-            raise ValueError(f"policy 'klimited' takes at most one "
-                             f"parameter (got {token!r})")
-        return make_policy("klimited", k=numbers[0] if numbers else None)
-    if name == "vivu":
-        if len(numbers) > 2:
-            raise ValueError(f"policy 'vivu' takes at most two "
-                             f"parameters (got {token!r})")
-        peel = numbers[0] if numbers else 1
-        k = numbers[1] if len(numbers) > 1 else None
-        return make_policy("vivu", k=k, peel=peel)
-    raise ValueError(f"unknown policy token {token!r}; expected "
-                     "full, klimited[@K], or vivu[@PEEL[@K]]")
 
 
 @dataclass(frozen=True)

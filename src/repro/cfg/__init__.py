@@ -3,7 +3,7 @@ context-expanded whole-task graph (phase 1 of the aiT pipeline)."""
 
 from .builder import BinaryCFG, CFGBuilder, CFGError, build_cfg
 from .contexts import (Context, ContextPolicy, FullCallString,
-                       KLimitedCallString, VIVU, make_policy)
+                       KLimitedCallString, VIVU, parse_policy)
 from .dominators import compute_dominators, dominance_frontier, dominates
 from .expand import (ExpansionError, NodeId, TaskEdge, TaskGraph,
                      expand_task)
@@ -14,7 +14,7 @@ __all__ = [
     "BinaryCFG", "CFGBuilder", "CFGError", "build_cfg",
     "compute_dominators", "dominance_frontier", "dominates",
     "Context", "ContextPolicy", "FullCallString", "KLimitedCallString",
-    "VIVU", "make_policy",
+    "VIVU", "parse_policy",
     "ExpansionError", "NodeId", "TaskEdge", "TaskGraph",
     "expand_task",
     "BasicBlock", "CallGraph", "Edge", "EdgeKind", "FunctionCFG",

@@ -7,15 +7,20 @@ to it, the *first* iteration of a loop (compulsory cache misses,
 initialisation values) is distinguished from *subsequent* iterations
 (steady-state hits, stabilised intervals).
 
-This module defines the structured :class:`Context` those schemes
-produce and the :class:`ContextPolicy` hierarchy that selects one:
+This module defines the :class:`Context` record those schemes produce
+and the :class:`ContextPolicy` that selects one.  A policy has two
+parameters, the call-string depth ``k`` and the loop ``peel`` count,
+and one name, its token, which :func:`parse_policy` reads back:
 
-* :class:`FullCallString` — unbounded call strings, no unrolling (the
-  historical behaviour, kept as the differential baseline),
-* :class:`KLimitedCallString` — call strings truncated to the last
-  ``k`` sites, bounding context growth on deep call trees,
-* :class:`VIVU` — call strings plus peeling of the first ``peel``
-  iterations of every loop into their own context copies.
+* ``full`` (:class:`FullCallString`) — unbounded call strings, no
+  unrolling (the historical behaviour, kept as the differential
+  baseline),
+* ``klimited@K`` (:class:`KLimitedCallString`) — call strings
+  truncated to the last ``K`` sites, bounding context growth on deep
+  call trees,
+* ``vivu@PEEL[@K]`` (:class:`VIVU`) — call strings (k-limited when
+  ``K`` is given) plus peeling of the first ``PEEL`` iterations of
+  every loop into their own context copies.
 
 A context has two components:
 
@@ -25,15 +30,12 @@ A context has two components:
   pair per enclosing peeled loop, where ``phase < peel`` marks a
   peeled first-iteration copy and ``phase == peel`` the steady-state
   copy.
-
-For backwards compatibility with the historical bare-tuple contexts,
-:class:`Context` behaves like its ``calls`` tuple under iteration,
-indexing, and comparison with plain tuples.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 #: One loop-iteration component entry: (loop header block address,
 #: iteration phase).  Phases 0..peel-1 are the peeled ("virtually
@@ -41,69 +43,17 @@ from typing import Iterator, Optional, Tuple
 IterEntry = Tuple[int, int]
 
 
+@dataclass(frozen=True, order=True, slots=True)
 class Context:
     """A structured execution context: call string + loop iterations.
 
-    Immutable; usable as a dict key and totally ordered (needed for
-    deterministic worklists, WTOs, and reports).
+    Immutable; usable as a dict key and totally ordered by
+    ``(calls, iters)`` (needed for deterministic worklists, WTOs, and
+    reports).
     """
 
-    __slots__ = ("calls", "iters")
-
-    def __init__(self, calls: Tuple[int, ...] = (),
-                 iters: Tuple[IterEntry, ...] = ()):
-        object.__setattr__(self, "calls", tuple(calls))
-        object.__setattr__(self, "iters", tuple(iters))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Context is immutable")
-
-    def __reduce__(self):
-        # The immutability guard above breaks the default slot-state
-        # pickling protocol; reconstruct through the constructor.
-        return (Context, (self.calls, self.iters))
-
-    # -- Tuple compatibility (calls component) ------------------------------
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.calls)
-
-    def __len__(self) -> int:
-        return len(self.calls)
-
-    def __getitem__(self, index):
-        return self.calls[index]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Context):
-            return self.calls == other.calls and self.iters == other.iters
-        if isinstance(other, tuple):
-            # A bare tuple is the historical representation of a pure
-            # call-string context.
-            return not self.iters and self.calls == other
-        return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    def __hash__(self) -> int:
-        # Equal objects must hash equal, including Context((a, b)) == (a, b).
-        if not self.iters:
-            return hash(self.calls)
-        return hash((self.calls, self.iters))
-
-    def __lt__(self, other: "Context") -> bool:
-        return (self.calls, self.iters) < (other.calls, other.iters)
-
-    def __le__(self, other: "Context") -> bool:
-        return (self.calls, self.iters) <= (other.calls, other.iters)
-
-    def __gt__(self, other: "Context") -> bool:
-        return (self.calls, self.iters) > (other.calls, other.iters)
-
-    def __ge__(self, other: "Context") -> bool:
-        return (self.calls, self.iters) >= (other.calls, other.iters)
+    calls: Tuple[int, ...] = ()
+    iters: Tuple[IterEntry, ...] = ()
 
     # -- Construction helpers ----------------------------------------------
 
@@ -153,13 +103,14 @@ ROOT_CONTEXT = Context()
 class ContextPolicy:
     """Strategy deciding how many context copies each block gets.
 
-    ``call_context`` maps a caller's context and a call-site address to
-    the callee's context (the call-string component); ``peel`` drives
-    the loop-unrolling post-pass of :func:`repro.cfg.expand.expand_task`
-    (the iteration component).
+    ``k`` bounds the call-string component built by
+    :meth:`call_context`; ``peel`` drives the loop-unrolling post-pass
+    of :func:`repro.cfg.expand.expand_task` (the iteration component).
+    The subclasses only validate and set these two parameters.
     """
 
-    name = "abstract"
+    #: Call-string depth: the last ``k`` call sites, or all when None.
+    k: Optional[int] = None
     #: Loop iterations peeled into their own context copies.
     peel = 0
 
@@ -167,10 +118,21 @@ class ContextPolicy:
         return ROOT_CONTEXT
 
     def call_context(self, caller: Context, site: int) -> Context:
-        raise NotImplementedError
+        """The callee's context: the caller's call string plus
+        ``site``, cut to the last ``k`` sites when ``k`` is set."""
+        calls = caller.calls + (site,)
+        if self.k is not None:
+            calls = calls[-self.k:]
+        return Context(calls)
 
     def describe(self) -> str:
-        return self.name
+        """The policy's token (``full``, ``klimited@K`` or
+        ``vivu@PEEL[@K]``), as reports, job labels and cache keys
+        print it and :func:`parse_policy` reads it."""
+        if self.peel:
+            return f"vivu@{self.peel}" + (
+                f"@{self.k}" if self.k is not None else "")
+        return "full" if self.k is None else f"klimited@{self.k}"
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.describe()}>"
@@ -179,11 +141,6 @@ class ContextPolicy:
 class FullCallString(ContextPolicy):
     """Unbounded call strings, no loop unrolling — the differential
     baseline that reproduces the historical expansion exactly."""
-
-    name = "full-callstring"
-
-    def call_context(self, caller: Context, site: int) -> Context:
-        return Context(caller.calls + (site,))
 
 
 class KLimitedCallString(ContextPolicy):
@@ -197,18 +154,10 @@ class KLimitedCallString(ContextPolicy):
     for WCET, but looser).
     """
 
-    name = "k-callstring"
-
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("k must be at least 1")
         self.k = k
-
-    def call_context(self, caller: Context, site: int) -> Context:
-        return Context((caller.calls + (site,))[-self.k:])
-
-    def describe(self) -> str:
-        return f"k-callstring(k={self.k})"
 
 
 class VIVU(ContextPolicy):
@@ -221,8 +170,6 @@ class VIVU(ContextPolicy):
     ``ALWAYS_HIT`` and carry stabilised intervals.
     """
 
-    name = "vivu"
-
     def __init__(self, peel: int = 1, k: Optional[int] = None):
         if peel < 1:
             raise ValueError("peel must be at least 1")
@@ -231,35 +178,36 @@ class VIVU(ContextPolicy):
         self.peel = peel
         self.k = k
 
-    def call_context(self, caller: Context, site: int) -> Context:
-        calls = caller.calls + (site,)
-        if self.k is not None:
-            calls = calls[-self.k:]
-        return Context(calls)
-
-    def describe(self) -> str:
-        if self.k is None:
-            return f"vivu(peel={self.peel})"
-        return f"vivu(peel={self.peel}, k={self.k})"
-
 
 #: Policy used when the caller does not choose one.
 DEFAULT_POLICY = FullCallString()
 
 
-def make_policy(name: str, k: Optional[int] = None,
-                peel: int = 1) -> ContextPolicy:
-    """Build a policy from CLI-style arguments (``--context-policy``,
-    ``--k``, ``--peel``).
-
-    ``k`` defaults to 2 for ``klimited``; for ``vivu`` it is optional
-    and combines loop peeling with k-limited call strings.
-    """
-    if name in ("full", "full-callstring"):
+def parse_policy(token: str) -> ContextPolicy:
+    """Build a policy from its token: ``full``, ``klimited[@K]`` (K
+    defaults to 2) or ``vivu[@PEEL[@K]]`` (PEEL defaults to 1).  The
+    one parser of ``repro wcet --context-policy``, the batch matrix
+    and serve requests."""
+    name, *values = token.split("@")
+    try:
+        numbers = [int(value) for value in values]
+    except ValueError:
+        raise ValueError(f"bad policy token {token!r}: "
+                         "parameters must be integers") from None
+    if name == "full":
+        if numbers:
+            raise ValueError(f"policy 'full' takes no parameters "
+                             f"(got {token!r})")
         return FullCallString()
-    if name in ("klimited", "k-limited", "k-callstring"):
-        return KLimitedCallString(2 if k is None else k)
+    if name == "klimited":
+        if len(numbers) > 1:
+            raise ValueError(f"policy 'klimited' takes at most one "
+                             f"parameter (got {token!r})")
+        return KLimitedCallString(numbers[0] if numbers else 2)
     if name == "vivu":
-        return VIVU(peel=peel, k=k)
-    raise ValueError(f"unknown context policy {name!r}; "
-                     "expected full, klimited, or vivu")
+        if len(numbers) > 2:
+            raise ValueError(f"policy 'vivu' takes at most two "
+                             f"parameters (got {token!r})")
+        return VIVU(*numbers)
+    raise ValueError(f"unknown policy token {token!r}; expected "
+                     "full, klimited[@K], or vivu[@PEEL[@K]]")

@@ -111,10 +111,6 @@ class FunctionCFG:
     def predecessors(self, start: int) -> List[Edge]:
         return self._preds[start]
 
-    @property
-    def entry_block(self) -> BasicBlock:
-        return self.blocks[self.entry]
-
     def exit_blocks(self) -> List[BasicBlock]:
         """Blocks that leave the function (RET or HALT)."""
         return [block for block in self.blocks.values()
@@ -125,31 +121,6 @@ class FunctionCFG:
         """Blocks ending in a call, in address order."""
         return sorted((b for b in self.blocks.values() if b.is_call_block),
                       key=lambda b: b.start)
-
-    def reverse_postorder(self) -> List[int]:
-        """Block start addresses in reverse postorder from the entry."""
-        visited = set()
-        order: List[int] = []
-
-        def visit(start: int) -> None:
-            stack = [(start, iter(self._succs[start]))]
-            visited.add(start)
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for edge in it:
-                    if edge.target not in visited:
-                        visited.add(edge.target)
-                        stack.append(
-                            (edge.target, iter(self._succs[edge.target])))
-                        advanced = True
-                        break
-                if not advanced:
-                    order.append(node)
-                    stack.pop()
-
-        visit(self.entry)
-        return list(reversed(order))
 
     def instruction_count(self) -> int:
         return sum(len(block) for block in self.blocks.values())

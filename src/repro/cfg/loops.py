@@ -43,12 +43,6 @@ class Loop:
         return [(node, succ) for node in self.body
                 for succ in succs.get(node, []) if succ not in self.body]
 
-    def entry_edges(self, preds: Dict[Node, List[Node]]
-                    ) -> List[Tuple[Node, Node]]:
-        """Edges entering the header from outside the loop."""
-        return [(pred, self.header) for pred in preds.get(self.header, [])
-                if pred not in self.body]
-
     def __repr__(self) -> str:
         return (f"Loop(header={self.header!r}, |body|={len(self.body)}, "
                 f"depth={self.depth})")
@@ -60,10 +54,6 @@ class LoopForest:
     def __init__(self, loops: List[Loop]):
         self.loops = loops
         self._by_header = {loop.header: loop for loop in loops}
-
-    @property
-    def roots(self) -> List[Loop]:
-        return [loop for loop in self.loops if loop.parent is None]
 
     def loop_of_header(self, header: Node) -> Optional[Loop]:
         return self._by_header.get(header)

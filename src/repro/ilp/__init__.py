@@ -10,14 +10,13 @@ oracle.
 
 from .branchbound import solve_ilp
 from .dense import solve_lp_dense
-from .model import (Constraint, InfeasibleError, LinearProgram, Sense,
-                    Solution, UnboundedError, Variable)
+from .model import Constraint, LinearProgram, Sense, Solution, Variable
 from .presolve import PresolvedLP, presolve
 from .simplex import solve_lp
 from .stats import ILPStats
 
 __all__ = [
-    "solve_ilp", "Constraint", "InfeasibleError",
-    "LinearProgram", "Sense", "Solution", "UnboundedError", "Variable",
+    "solve_ilp", "Constraint", "LinearProgram", "Sense", "Solution",
+    "Variable",
     "solve_lp", "solve_lp_dense", "ILPStats", "PresolvedLP", "presolve",
 ]

@@ -67,9 +67,6 @@ class LinearProgram:
         self._by_name[name] = variable
         return variable
 
-    def variable(self, name: str) -> Variable:
-        return self._by_name[name]
-
     def add_constraint(self, coefficients: Dict[int, float], sense: Sense,
                        rhs: float, name: str = "") -> None:
         clean = {index: value for index, value in coefficients.items()
@@ -115,12 +112,3 @@ class Solution:
     def is_integral(self, tolerance: float = 1e-6) -> bool:
         return all(abs(v - round(v)) <= tolerance
                    for v in self.values.values())
-
-
-class InfeasibleError(ValueError):
-    """The program admits no feasible point."""
-
-
-class UnboundedError(ValueError):
-    """The objective is unbounded above (for IPET: a loop without a
-    bound constraint)."""

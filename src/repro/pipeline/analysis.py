@@ -42,7 +42,7 @@ from ..analysis.fixpoint import (FixpointKernel, FixpointSemantics,
 from ..cache.abstract import Classification
 from ..cache.analysis import DCacheResult, ICacheResult
 from ..cache.config import MachineConfig
-from ..cfg.expand import NodeId, TaskEdge, TaskGraph
+from ..cfg.expand import NodeId, TaskGraph
 from ..cfg.graph import EdgeKind
 from ..isa.instructions import Opcode
 from .states import (PipeState, PipeStateSet, StateSetStats,
@@ -76,9 +76,6 @@ class TimingModel:
 
     def onetime_cost(self, node: NodeId) -> int:
         return self.blocks[node].onetime_cycles
-
-    def edge_cost(self, edge: TaskEdge) -> int:
-        return self.edges.get((edge.source, edge.target, edge.kind), 0)
 
     def total_onetime(self) -> int:
         return sum(t.onetime_cycles for t in self.blocks.values())
@@ -208,8 +205,9 @@ class Krisc5PipelineAnalysis:
 
     Runs a fixpoint over sets of entry pipeline states per task-graph
     node (on the shared WTO kernel), then extracts per-node worst-case
-    cycles and per-edge redirect penalties in the :class:`TimingModel`
-    shape the additive model produces, keeping IPET unchanged.
+    cycles and per-edge redirect penalties and entry surcharges in the
+    :class:`TimingModel` shape the additive model produces, keeping
+    IPET unchanged.
     """
 
     def __init__(self, graph: TaskGraph, config: MachineConfig,
@@ -248,6 +246,22 @@ class Krisc5PipelineAnalysis:
             (self._walk(node, state).exit_state for state in entry),
             entry.cap, self.state_stats)
 
+    def _incoming_costs(self, node: NodeId, entries
+                        ) -> Dict[Tuple[NodeId, NodeId, EdgeKind], int]:
+        """Worst-case cycles of ``node`` per incoming edge, walked from
+        the exit states of that edge's source alone."""
+        costs = {}
+        for edge in self.graph.predecessors(node):
+            source = entries.get(edge.source)
+            if source is None or source.is_bottom():
+                continue    # the edge is never taken
+            states = PipeStateSet(
+                (self._walk(edge.source, state).exit_state
+                 for state in source), source.cap)
+            costs[(edge.source, edge.target, edge.kind)] = max(
+                self._walk(node, state).elapsed for state in states)
+        return costs
+
     def analyze(self) -> TimingModel:
         graph = self.graph
         cap = self.config.pipeline_state_cap
@@ -258,6 +272,7 @@ class Krisc5PipelineAnalysis:
 
         fallback = PipeStateSet.initial(cap)
         blocks: Dict[NodeId, BlockTiming] = {}
+        edges: Dict[Tuple[NodeId, NodeId, EdgeKind], int] = {}
         for node in graph.nodes():
             entry = entries.get(node)
             if entry is None or entry.is_bottom():
@@ -270,19 +285,31 @@ class Krisc5PipelineAnalysis:
                 walk = self._walk(node, state)
                 base = max(base, walk.elapsed)
                 onetime = max(onetime, walk.onetime)
+            # Each edge into the block brings its own states: the block
+            # pays the cheapest edge's cost and dearer edges the rest,
+            # so a stall only the loop-entry edge brings is not paid on
+            # every iteration.  The task entry also starts from the
+            # initial state, which no edge brings, so it keeps the max.
+            incoming = self._incoming_costs(node, entries) \
+                if node != graph.entry else {}
+            if incoming:
+                base = min(incoming.values())
+                for key, cost in incoming.items():
+                    if cost > base:
+                        edges[key] = cost - base
             blocks[node] = BlockTiming(node, base, onetime)
 
         # Taken conditional branches pay the fetch redirect on the
         # edge, exactly like the additive model; cross-block load-use
         # stalls are part of the entry states instead.
-        edges: Dict[Tuple[NodeId, NodeId, EdgeKind], int] = {}
         penalty = self.config.branch_penalty
         for node in graph.nodes():
             if graph.blocks[node].last.opcode is not Opcode.BCC:
                 continue
             for edge in graph.successors(node):
                 if edge.kind is EdgeKind.TAKEN:
-                    edges[(edge.source, edge.target, edge.kind)] = penalty
+                    key = (edge.source, edge.target, edge.kind)
+                    edges[key] = edges.get(key, 0) + penalty
         return TimingModel(blocks, edges, model="krisc5",
                            fixpoint_stats=kernel.stats,
                            state_stats=self.state_stats)

@@ -22,7 +22,7 @@ _EDGE_STYLES = {
 
 
 def _node_id(node) -> str:
-    context = "_".join(f"{c:x}" for c in node.context)
+    context = "_".join(f"{c:x}" for c in node.context.calls)
     iters = "_".join(f"{header:x}i{phase}"
                      for header, phase in node.context.iters)
     return f"n{context}_{iters}_{node.block:x}"

@@ -50,8 +50,9 @@ from ..isa.registers import parse_register
 from ..lang import compile_program
 from ..batch.cachestore import ArtifactCache
 from ..batch.dag import JobPlan
-from ..batch.jobs import JobSpec, parse_policy
+from ..batch.jobs import JobSpec
 from ..batch.scheduler import JobCancelled, JobTimeout, run_plans
+from ..cfg.contexts import parse_policy
 from ..wcet.ait import validate_annotations
 from .journal import TERMINAL_STATUSES, JobJournal
 

@@ -63,8 +63,6 @@ class WCETResult:
     #: and the LP/ILP engine's :class:`~repro.ilp.stats.ILPStats` for
     #: "path" — alongside the wall clocks in :attr:`phase_seconds`.
     solver_stats: Dict[str, object] = field(default_factory=dict)
-    #: The context-sensitivity policy the task graph was expanded under.
-    context_policy: Optional[ContextPolicy] = None
     #: Artifact-cache provenance: phase name -> "hit" | "miss".  Empty
     #: when the analysis ran without a phase cache.
     cache_events: Dict[str, str] = field(default_factory=dict)
@@ -410,8 +408,8 @@ def build_wcet_result(program: Program, config: MachineConfig,
         program, config, binary_cfg, graph, values,
         artifacts["loopbounds"], icache, dcache, timing, path,
         phase_seconds, solver_stats=solver_stats,
-        context_policy=graph.policy, cache_events=cache_events,
-        domain_impl=domain_impl, profiles=profiles or {})
+        cache_events=cache_events, domain_impl=domain_impl,
+        profiles=profiles or {})
 
 
 def analyze_loop_annotations(program: Program,

@@ -190,7 +190,7 @@ class TestTaskGraphExpansion:
     def test_entry_node(self):
         binary = build_cfg(assemble(CALLS))
         graph = expand_task(binary)
-        assert graph.entry.context == ()
+        assert graph.entry.context.calls == ()
         assert graph.entry.block == binary.entry
 
     def test_single_exit_for_straightline(self):
@@ -206,9 +206,10 @@ class TestTaskGraphExpansion:
                         if e.kind is EdgeKind.RETURN]
         for edge in return_edges:
             # Return site is the instruction after its context's call site.
-            call_site = edge.source.context[-1]
+            call_site = edge.source.context.calls[-1]
             assert edge.target.block == call_site + 4
-            assert edge.target.context == edge.source.context[:-1]
+            assert edge.target.context.calls \
+                == edge.source.context.calls[:-1]
 
     def test_nested_calls_expand_transitively(self):
         source = """
@@ -223,7 +224,7 @@ class TestTaskGraphExpansion:
         """
         binary = build_cfg(assemble(source))
         graph = expand_task(binary)
-        depths = {len(node.context) for node in graph.nodes()}
+        depths = {len(node.context.calls) for node in graph.nodes()}
         assert depths == {0, 1, 2}
 
     def test_topological_order_starts_at_entry(self):

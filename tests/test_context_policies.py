@@ -2,8 +2,8 @@
 
 Covers the acceptance criteria of the context-policy PR:
 
-* structured :class:`Context` semantics (tuple compatibility, ordering,
-  peel queries),
+* structured :class:`Context` semantics (equality, ordering, peel
+  queries) and policy tokens,
 * differential equivalence: the explicit :class:`FullCallString`
   policy reproduces the default pipeline bit-identically on the
   workload corpus,
@@ -15,12 +15,14 @@ Covers the acceptance criteria of the context-policy PR:
   :class:`ExpansionError` recursion diagnostics.
 """
 
+import os
+
 import pytest
 
 from repro.cache.config import CacheConfig, MachineConfig
 from repro.cfg import (Context, ExpansionError, FullCallString,
                        KLimitedCallString, VIVU, build_cfg, expand_task,
-                       make_policy)
+                       parse_policy)
 from repro.isa import assemble
 from repro.lang import compile_program
 from repro.sim import run_program
@@ -33,28 +35,12 @@ from repro.workloads import analyze_workload, get_workload
 
 
 class TestContext:
-    def test_tuple_compatibility(self):
-        ctx = Context((0x10, 0x20))
-        assert len(ctx) == 2
-        assert ctx[-1] == 0x20
-        assert ctx[:-1] == (0x10,)
-        assert list(ctx) == [0x10, 0x20]
-        assert ctx == (0x10, 0x20)
-        assert Context() == ()
-
-    def test_hash_consistent_with_tuple_equality(self):
-        ctx = Context((0x10, 0x20))
-        assert hash(ctx) == hash((0x10, 0x20))
-        assert ctx in {(0x10, 0x20)}
-
     def test_iteration_component_distinguishes_copies(self):
         plain = Context((0x10,))
         peeled = Context((0x10,), ((0x40, 0), ))
         steady = Context((0x10,), ((0x40, 1), ))
         assert plain != peeled and peeled != steady
         assert len({plain, peeled, steady}) == 3
-        # A context with iterations is not equal to its bare call tuple.
-        assert peeled != (0x10,)
 
     def test_total_order(self):
         contexts = [Context((0x10,), ((0x40, 1),)),
@@ -76,19 +62,64 @@ class TestContext:
         assert Context().label == "root"
 
     def test_make_policy(self):
-        assert isinstance(make_policy("full"), FullCallString)
-        assert make_policy("klimited").k == 2
-        assert make_policy("klimited", k=3).k == 3
-        assert make_policy("vivu", peel=2).peel == 2
-        assert make_policy("vivu").k is None
-        combined = make_policy("vivu", k=3)
+        assert isinstance(parse_policy("full"), FullCallString)
+        assert parse_policy("klimited").k == 2
+        assert parse_policy("klimited@3").k == 3
+        assert parse_policy("vivu@2").peel == 2
+        assert parse_policy("vivu").k is None
+        combined = parse_policy("vivu@1@3")
         assert combined.peel == 1 and combined.k == 3
         with pytest.raises(ValueError):
-            make_policy("nonsense")
+            parse_policy("nonsense")
         with pytest.raises(ValueError):
             KLimitedCallString(0)
         with pytest.raises(ValueError):
             VIVU(peel=0)
+
+
+# -- Policy tokens --------------------------------------------------------------
+
+
+#: Every policy with parameters 1 to 3, built by its constructor, and
+#: the token that names it in reports, job labels and cache keys.
+POLICY_TOKENS = (
+    [(FullCallString(), "full")]
+    + [(KLimitedCallString(k), f"klimited@{k}") for k in (1, 2, 3)]
+    + [(VIVU(peel), f"vivu@{peel}") for peel in (1, 2, 3)]
+    + [(VIVU(peel, k), f"vivu@{peel}@{k}")
+       for peel in (1, 2, 3) for k in (1, 2, 3)])
+
+GOLDEN_BOUNDS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "golden_bounds.json")
+
+
+class TestPolicyTokens:
+    @pytest.mark.parametrize("policy, token", POLICY_TOKENS,
+                             ids=[token for _, token in POLICY_TOKENS])
+    def test_token_round_trip(self, policy, token):
+        assert policy.describe() == token
+        parsed = parse_policy(policy.describe())
+        assert parsed.describe() == policy.describe()
+        assert (type(parsed), parsed.k, parsed.peel) \
+            == (type(policy), policy.k, policy.peel)
+
+    @pytest.mark.parametrize("model", ["additive", "krisc5"])
+    @pytest.mark.parametrize("token, golden_key", [
+        ("full", "full"), ("klimited@2", "klimited"), ("vivu@1", "vivu")])
+    @pytest.mark.parametrize("workload",
+                             ["calltree", "duff", "fibcall", "fir"])
+    def test_cli_token_prints_golden_bound(self, workload, token,
+                                           golden_key, model, tmp_path,
+                                           capsys):
+        # The CLI token and the matrix key name the same policy.
+        from repro.__main__ import main as cli_main
+        from repro.batch import load_golden
+        path = tmp_path / f"{workload}.c"
+        path.write_text(get_workload(workload).source)
+        assert cli_main(["wcet", str(path), "--context-policy", token,
+                         "--pipeline-model", model]) == 0
+        bound = load_golden(GOLDEN_BOUNDS)[workload][golden_key][model]
+        assert f"WCET BOUND: {bound} cycles" in capsys.readouterr().out
 
 
 # -- Differential baseline ------------------------------------------------------
@@ -507,7 +538,7 @@ class TestPolicyReporting:
         program = assemble(TestVIVUStructure.LOOP)
         result = analyze_wcet(program, context_policy=VIVU(peel=1))
         report = wcet_report(result)
-        assert "vivu(peel=1)" in report
+        assert "vivu@1" in report
         assert "first-iteration" in report
         assert "(+1 peeled)" in report
 
@@ -516,13 +547,13 @@ class TestPolicyReporting:
         path = tmp_path / "task.s"
         path.write_text(TestVIVUStructure.LOOP)
         assert cli_main(["wcet", str(path),
-                         "--context-policy", "vivu", "--peel", "1"]) == 0
+                         "--context-policy", "vivu@1"]) == 0
         out = capsys.readouterr().out
-        assert "vivu(peel=1)" in out
+        assert "vivu@1" in out
         assert cli_main(["wcet", str(path),
-                         "--context-policy", "klimited", "--k", "2"]) == 0
+                         "--context-policy", "klimited@2"]) == 0
         out = capsys.readouterr().out
-        assert "k-callstring(k=2)" in out
+        assert "klimited@2" in out
 
     def test_dot_export_unique_ids_for_peeled_copies(self):
         from repro.report import wcet_dot

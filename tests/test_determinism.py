@@ -14,27 +14,26 @@ import os
 import subprocess
 import sys
 
-from repro.cfg.contexts import make_policy
+from repro.cfg.contexts import parse_policy
 from repro.report import wcet_report
 from repro.workloads.suite import analyze_workload, get_workload
 
 #: A workload exercising calls, loops, manual annotations, and input
 #: memory ranges, analyzed under the most machinery (VIVU + krisc5).
 WORKLOAD = "bs"
-POLICY = ("vivu", {"peel": 1})
+POLICY = "vivu@1"
 MODEL = "krisc5"
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _SUBPROCESS_SCRIPT = """
 import json, sys
-from repro.cfg.contexts import make_policy
+from repro.cfg.contexts import parse_policy
 from repro.report import wcet_report
 from repro.workloads.suite import analyze_workload, get_workload
 
 result = analyze_workload(get_workload(%(workload)r),
-                          context_policy=make_policy(%(policy)r,
-                                                     peel=%(peel)d),
+                          context_policy=parse_policy(%(policy)r),
                           pipeline_model=%(model)r)
 report = "\\n".join(line for line in wcet_report(result).splitlines()
                     if " ms" not in line)
@@ -54,9 +53,8 @@ json.dump({
 
 
 def _analyze():
-    name, params = POLICY
     return analyze_workload(get_workload(WORKLOAD),
-                            context_policy=make_policy(name, **params),
+                            context_policy=parse_policy(POLICY),
                             pipeline_model=MODEL)
 
 
@@ -94,8 +92,7 @@ def test_subprocess_with_different_hash_seed_is_identical():
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
 
     script = _SUBPROCESS_SCRIPT % {
-        "workload": WORKLOAD, "policy": POLICY[0],
-        "peel": POLICY[1]["peel"], "model": MODEL}
+        "workload": WORKLOAD, "policy": POLICY, "model": MODEL}
     completed = subprocess.run(
         [sys.executable, "-c", script], env=env, cwd=REPO_ROOT,
         capture_output=True, text=True, timeout=300)

@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from repro.cfg.contexts import make_policy
+from repro.cfg.contexts import parse_policy
 from repro.report import wcet_dot
 from repro.workloads.suite import analyze_workload, get_workload
 
@@ -21,7 +21,7 @@ EDGE_PATTERN = re.compile(r"^  (\w+) -> (\w+) \[", re.MULTILINE)
 @pytest.fixture(scope="module")
 def result():
     return analyze_workload(get_workload("bs"),
-                            context_policy=make_policy("vivu", peel=1),
+                            context_policy=parse_policy("vivu@1"),
                             pipeline_model="krisc5")
 
 

@@ -9,10 +9,15 @@ on
   ``src/``, ``tests/``, ``benchmarks/``, ``perfbench/`` or
   ``examples/`` references.
 
-A reference is a name, an attribute, an imported name, or an
-identifier inside a string constant or f-string (so ``getattr``-style
-lookups and quoted forward annotations count).  Docstrings do not
-count: a definition that only prose mentions is still dead.
+A reference to a function or class is a name, an attribute, an
+imported name, or an identifier inside a string constant or f-string
+(so quoted forward annotations count).  A method is referenced only
+when something reads it as an attribute or names it in a string that
+is exactly its name (the ``getattr`` case): a local variable that
+shares a method's name does not keep the method alive.  Docstrings do
+not count, and neither do the imports and ``__all__`` strings of
+``src/repro/**/__init__.py``: a definition that only prose mentions, or
+that a package only re-exports, is still dead.
 """
 
 import ast
@@ -28,7 +33,7 @@ CORPUS = ("src", "tests", "benchmarks", "perfbench", "examples")
 
 #: Methods the standard library calls by name
 #: (``BaseHTTPRequestHandler`` dispatches ``do_<METHOD>``).
-CALLED_BY_NAME = frozenset({"do_GET", "do_POST", "do_DELETE",
+CALLED_BY_NAME = frozenset({"do_GET", "do_POST", "do_PUT", "do_DELETE",
                             "log_message"})
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -70,8 +75,39 @@ def _references(nodes, docstrings: Set[int]) -> Set[str]:
     return names
 
 
+def _attribute_references(nodes, docstrings: Set[int]) -> Set[str]:
+    """Attributes read, and strings that are exactly an identifier."""
+    names: Set[str] = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str) \
+                    and id(node) not in docstrings \
+                    and node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
 def _in_package(path: Path) -> bool:
     return PACKAGE in path.parents
+
+
+def _is_reexport(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, _IMPORTS) or (
+        isinstance(stmt, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__"
+                for target in stmt.targets))
+
+
+def _counted(path: Path, tree: ast.Module) -> List[ast.AST]:
+    """What in ``tree`` can keep a definition alive: everything but a
+    package ``__init__``'s imports and ``__all__``."""
+    if _in_package(path) and path.name == "__init__.py":
+        return [stmt for stmt in tree.body if not _is_reexport(stmt)]
+    return [tree]
 
 
 def unused_imports(corpus: Dict[Path, ast.Module]) -> List[str]:
@@ -100,20 +136,26 @@ def unused_imports(corpus: Dict[Path, ast.Module]) -> List[str]:
 
 def unreferenced_definitions(corpus: Dict[Path, ast.Module]) -> List[str]:
     """``path:line name`` of every function, method or class in
-    ``src/repro`` whose name nothing in the corpus references."""
+    ``src/repro`` that nothing in the corpus references."""
     referenced: Set[str] = set()
-    for tree in corpus.values():
-        referenced.update(_references([tree], _docstrings(tree)))
+    attributes: Set[str] = set()
+    for path, tree in corpus.items():
+        nodes, docstrings = _counted(path, tree), _docstrings(tree)
+        referenced.update(_references(nodes, docstrings))
+        attributes.update(_attribute_references(nodes, docstrings))
     problems = []
     for path, tree in corpus.items():
         if not _in_package(path):
             continue
+        methods = {id(stmt) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for stmt in node.body}
         for node in ast.walk(tree):
             if not isinstance(node, _DEFINITIONS):
                 continue
             name = node.name
+            used = attributes if id(node) in methods else referenced
             if name.startswith("__") and name.endswith("__") \
-                    or name in CALLED_BY_NAME or name in referenced:
+                    or name in CALLED_BY_NAME or name in used:
                 continue
             problems.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     return problems

@@ -231,7 +231,7 @@ class TestInterprocedural:
         """
         graph, values = analyze(source)
         # Find the callee's block in its call context.
-        callee_nodes = [n for n in graph.nodes() if len(n.context) == 1]
+        callee_nodes = [n for n in graph.nodes() if len(n.context.calls) == 1]
         assert callee_nodes
         program = assemble(source)
         # After the call returns, R0 is 42 at the HALT block.
@@ -254,7 +254,7 @@ class TestInterprocedural:
         """
         graph, values = analyze(source)
         # Each call context sees its own argument value.
-        id_nodes = [n for n in graph.nodes() if len(n.context) == 1]
+        id_nodes = [n for n in graph.nodes() if len(n.context.calls) == 1]
         constants = set()
         for node in id_nodes:
             state = values.fixpoint.state_at(node)

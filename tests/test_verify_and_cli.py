@@ -1,5 +1,8 @@
 """Tests for the bound-verification API and the command-line tool."""
 
+import socket
+from pathlib import Path
+
 import pytest
 
 from repro.isa import assemble
@@ -140,11 +143,34 @@ class TestCLI:
         (["serve", "--max-jobs", "0"], "--max-jobs"),
         (["serve", "--memo-entries", "0"], "--memo-entries"),
         (["serve", "--memo-mb", "0"], "--memo-mb"),
+        (["wcet", "FILE", "--context-policy", "vivu@0"],
+         "--context-policy"),
+        (["wcet", "FILE", "--context-policy", "klimited@1@2"],
+         "--context-policy"),
+        (["wcet", "FILE", "--context-policy", "full@1"],
+         "--context-policy"),
+        (["wcet", "FILE", "--context-policy", "nonsense"],
+         "--context-policy"),
+        (["wcet", "FILE", "--context-policy", "vivu@@2"],
+         "--context-policy"),
+        (["wcet", "FILE", "--context-policy", "klimited@"],
+         "--context-policy"),
+        (["batch", "--matrix", "fibcall:nonsense"], "--matrix"),
+        (["batch", "--matrix", "nosuch"], "--matrix"),
+        (["rta", "FILE", "--sweep", "--orderings", "bogus"],
+         "--orderings"),
+        (["rta", "FILE", "--sweep", "--geometries", "3x2x16"],
+         "--geometries"),
+        (["run", "FILE", "--max-steps", "0"], "--max-steps"),
     ], ids=["range-without-hi", "range-without-value", "bound-not-int",
             "unknown-register", "empty-range", "zero-bound",
             "negative-bound", "zero-jobs", "negative-jobs",
             "negative-cache-limit", "zero-workers", "zero-max-jobs",
-            "zero-memo-entries", "zero-memo-mb"])
+            "zero-memo-entries", "zero-memo-mb", "zero-peel",
+            "klimited-two-params", "full-with-param", "unknown-policy",
+            "empty-peel", "empty-k",
+            "matrix-unknown-policy", "matrix-unknown-workload",
+            "unknown-ordering", "bad-geometry", "zero-max-steps"])
     def test_malformed_annotation_is_usage_error(self, c_file, capsys,
                                                  argv, flag):
         # FILE stands for the input file of the commands that take one.
@@ -152,6 +178,88 @@ class TestCLI:
             cli_main([c_file if arg == "FILE" else arg for arg in argv])
         assert exit_info.value.code == 2
         assert f"argument {flag}: expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag, other", [
+        (["rta", "TASKSET", "--sweep", "--verify"], "--verify", "--sweep"),
+        (["rta", "TASKSET", "--golden", "DIR/golden.json"], "--golden",
+         "--sweep"),
+        (["rta", "TASKSET", "--write-golden", "DIR/golden.json"],
+         "--write-golden", "--sweep"),
+        (["rta", "TASKSET", "--orderings", "given"], "--orderings",
+         "--sweep"),
+        (["rta", "TASKSET", "--geometries", "16x2x16"], "--geometries",
+         "--sweep"),
+        (["batch", "--matrix", "fibcall:full:additive",
+          "--cache-limit-mb", "5"], "--cache-limit-mb", "--cache-dir"),
+        (["serve", "--port", "0", "--cache-limit-mb", "5"],
+         "--cache-limit-mb", "--cache-dir"),
+        (["batch", "--matrix", "fibcall:full:additive", "--no-cache",
+          "--cache-dir", "DIR/cache"], "--no-cache", "--cache-dir"),
+    ], ids=["rta-verify-with-sweep", "rta-golden-without-sweep",
+            "rta-write-golden-without-sweep",
+            "rta-orderings-without-sweep",
+            "rta-geometries-without-sweep",
+            "batch-cache-limit-without-dir",
+            "serve-cache-limit-without-dir", "batch-no-cache-with-dir"])
+    def test_ignored_flag_is_usage_error(self, tmp_path, capsys,
+                                         monkeypatch, argv, flag, other):
+        # A flag that would do nothing is refused before any command
+        # runs: no service starts and no cache directory appears.
+        from repro.serve import AnalysisService
+
+        def refuse(service, **options):
+            raise AssertionError("the service started")
+
+        monkeypatch.setattr(AnalysisService, "__init__", refuse)
+        taskset = str(Path(__file__).resolve().parent.parent
+                      / "tasksets" / "ecu_mix.json")
+        argv = [arg.replace("TASKSET", taskset)
+                .replace("DIR", str(tmp_path)) for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert flag in error and other in error
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, error", [
+        (["wcet", "unbounded.s"], "UnboundedLoopError"),
+        (["wcet", "recursive.c"], "ExpansionError"),
+        (["stack", "recursive.c"], "ExpansionError"),
+        (["wcet", "syntax.c"], "ParseError"),
+        (["wcet", "mnemonic.s"], "AssemblyError"),
+        (["wcet", "missing.c"], "FileNotFoundError"),
+        (["rta", "missing.json"], "FileNotFoundError"),
+        (["analyze", "task.c", "--url", "URL"], "URLError"),
+        (["run", "task.c", "--max-steps", "3"], "OutOfFuel"),
+    ], ids=["unbounded-loop", "recursion", "stack-recursion",
+            "syntax-error", "unknown-mnemonic", "missing-source",
+            "missing-taskset", "no-server", "out-of-fuel"])
+    def test_rejected_input_is_one_error_line(self, tmp_path, capsys,
+                                              argv, error):
+        inputs = {
+            "unbounded.s": INPUT_TASK,
+            "recursive.c": "int f(int n) { if (n < 1) { return 0; } "
+                           "return f(n - 1); }\n"
+                           "void main() { f(3); }\n",
+            "syntax.c": "void main() { int; }\n",
+            "mnemonic.s": "main:\n    FROB R1, R2\n    HALT\n",
+            "task.c": "int r;\nvoid main() { int i; "
+                      "for (i = 0; i < 5; i = i + 1) { r = r + i; } }\n",
+        }
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            # Closed on leaving the block: nothing listens there.
+            url = f"http://127.0.0.1:{sock.getsockname()[1]}"
+        argv = [url if arg == "URL" else
+                str(tmp_path / arg) if "." in arg else arg
+                for arg in argv]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: {error}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_wcet_runs_value_analysis_once(self, c_file, monkeypatch,
                                            capsys):
