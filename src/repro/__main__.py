@@ -386,7 +386,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        server.close()
+        # The loop ran in this thread and is over, so there is nothing
+        # for server.close()'s shutdown() to stop: it would wait forever
+        # for a loop that never started.
+        server.server_close()
+        service.close()
     return 0
 
 

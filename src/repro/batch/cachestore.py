@@ -7,10 +7,11 @@ result under a key that digests
 * a *code version salt* — by default a hash of every ``.py`` file in
   the ``repro`` package, so any code change invalidates all cached
   artifacts at once (stale objects are simply never addressed again),
-* the phase's own key material — the program's
-  :meth:`~repro.isa.program.Program.content_digest` plus the exact
-  phase parameters, and the keys of all upstream phases (transitive
-  invalidation; see :class:`repro.batch.scheduler._TaskContext`).
+* the task's identity (:attr:`repro.batch.dag.JobPlan.identities`):
+  the phase's own inputs — digests of the program's reachable code and
+  data (:meth:`~repro.isa.program.Program.reachable_slice`) plus the
+  exact phase parameters — followed by the identities of the phases
+  it consumes, so invalidation is transitive.
 
 On-disk layout under the cache root::
 
@@ -124,7 +125,8 @@ class ArtifactCache:
     # -- Protocol -----------------------------------------------------------
 
     def key(self, material: str) -> str:
-        """Content address for one artifact: H(salt | material)."""
+        """Content address for one artifact: H(salt | material), where
+        the DAG executor passes the task's identity as ``material``."""
         return hashlib.sha256(
             f"{self.salt}|{material}".encode()).hexdigest()
 

@@ -15,10 +15,12 @@ phase references to 517 unique tasks, which a worker pool drains with
 no per-group barriers.
 
 The plan alone decides which inputs feed which phase, and so which
-templates share a task: :meth:`JobPlan.identities` evaluates each
-template's own key material over its dependencies' identities instead
-of their cache keys.  Two templates share a task only when their cache
-keys must coincide, and the parent finds out without keying, fetching
+templates share a task: :attr:`JobPlan.identities` composes each
+template's identity, once, from its own material and its
+dependencies' identities.  The identity is the artifact's one name:
+two templates share a task exactly when they share an identity, and
+the cache key is :meth:`~repro.batch.cachestore.ArtifactCache.key` of
+the identity, so the parent finds every task without keying, fetching
 or analyzing anything.
 """
 
@@ -36,7 +38,7 @@ from ..cfg.contexts import DEFAULT_POLICY
 from ..domainimpl import resolve_domain_impl
 from ..isa.program import Program
 from ..wcet import ait
-from ..wcet.ait import PHASES, PhaseTask, material_loopbounds, phase_plan
+from ..wcet.ait import PHASES, PhaseTask, phase_plan
 from ..workloads.suite import Workload, derive_manual_bounds, get_workload
 from .jobs import JobSpec
 
@@ -259,23 +261,25 @@ class SweepDAG:
 
 def _prefixed(task: PhaseTask, prefix: str) -> PhaseTask:
     """``task`` renamed into the ``prefix`` template namespace (the
-    discovery prefix of the annotate workflow)."""
+    discovery prefix of the annotate workflow).  The name stays out of
+    the identity, so a prefixed task whose inputs match the main
+    chain's is the main chain's task."""
     return PhaseTask(
         prefix + task.name, tuple(prefix + dep for dep in task.deps),
-        lambda keys, fetch: task.material(
-            {dep: keys[prefix + dep] for dep in task.deps}, fetch),
+        task.material,
         lambda deps: task.compute(
             {dep: deps[prefix + dep] for dep in task.deps}))
 
 
 class JobPlan:
     """One job's executable plan: its templates as
-    :class:`~repro.wcet.ait.PhaseTask`\\ s, in dependency order.
+    :class:`~repro.wcet.ait.PhaseTask`\\ s, in dependency order, and
+    each template's identity.
 
     ``options`` are the :func:`repro.wcet.ait.phase_plan` arguments.
     An annotated ``workload`` adds the default-parameter
     discover-then-annotate prefix; the main loop-bound phase then takes
-    its manual mapping from the never-stored ``annotate`` template.
+    its manual mapping from the ``annotate`` template's artifact.
     ``phases`` truncates the main chain; ``spec`` labels the job.
     """
 
@@ -307,49 +311,33 @@ class JobPlan:
                                    domain_impl=self.domain_impl)
             tasks += [_prefixed(task, "discover:") for task in discovery[:3]]
             tasks.append(PhaseTask(
-                "annotate", ("discover:loopbounds",), None,
+                "annotate", ("discover:loopbounds",),
+                f"annotate|bounds={workload.manual_bounds_in_order}",
                 lambda deps: derive_manual_bounds(
                     workload, deps["discover:loopbounds"])))
         for task in phase_plan(program, **options):
             if task.name == "loopbounds" and annotated:
-                # The material embeds the annotate *value* (small),
-                # reproducing the key a plain analyze_wcet call with
-                # the derived annotations would use.
+                # The derived annotations reach this phase as the
+                # annotate artifact, so they enter its identity as that
+                # dependency's identity.
                 task = PhaseTask(
-                    "loopbounds", ("value", "annotate"),
-                    lambda keys, fetch: material_loopbounds(
-                        keys["value"], fetch("annotate")),
+                    "loopbounds", ("value", "annotate"), task.material,
                     lambda deps: ait.analyze_loop_bounds(
                         deps["value"], deps["annotate"]))
             if task.name in phases:
                 tasks.append(task)
         self.templates: Dict[str, PhaseTask] = {task.name: task
                                                 for task in tasks}
-
-    def identities(self) -> Dict[str, str]:
-        """Each template's DAG identity, derived from the plan alone.
-
-        A stored template's identity is its own key material evaluated
-        over its dependencies' identities in place of their keys, and
-        a fetched artifact (the annotate mapping, in annotated
-        ``loopbounds``) is stood in for by a mapping that names the
-        fetched template's identity.  The never-stored ``annotate``
-        view is identified by its name, its dependency's identity and
-        the workload's documented bounds.  Equal identities therefore
-        imply equal cache keys, and nothing is keyed or run to find
-        them.
-        """
-        identities: Dict[str, str] = {}
+        #: Template name -> identity: the template's material, then its
+        #: dependencies' identities in ``deps`` order, each part
+        #: prefixed by its length so that no two compositions spell the
+        #: same string.
+        self.identities: Dict[str, str] = {}
         for name, task in self.templates.items():
-            if task.material is None:
-                identities[name] = (
-                    f"{name}|{identities[task.deps[0]]}"
-                    f"|bounds={self.workload.manual_bounds_in_order}")
-            else:
-                identities[name] = task.material(
-                    {dep: identities[dep] for dep in task.deps},
-                    lambda dep: {dep: identities[dep]})
-        return identities
+            self.identities[name] = "".join(
+                f"{len(part)}:{part}" for part in (
+                    task.material,
+                    *(self.identities[dep] for dep in task.deps)))
 
     def profile(self) -> None:
         """Run every template's compute under ``cProfile``, collecting
@@ -404,10 +392,10 @@ def build_sweep_dag(jobs: Sequence[JobSpec], use_cache: bool = True,
     in the parent.  A job that cannot be planned (unknown workload,
     source that does not compile, bad policy or model token) becomes a
     ``build_errors`` entry instead of raising, so one bad point cannot
-    take down a sweep.  Templates of any jobs share a node when their
-    :meth:`JobPlan.identities` agree, which they do only when their
-    cache keys must coincide.  ``use_cache=False`` only stops rows from
-    recording cache provenance.
+    take down a sweep.  Templates of any jobs share a node exactly when
+    their :attr:`JobPlan.identities` agree, that is when they name the
+    same artifact.  ``use_cache=False`` only stops rows from recording
+    cache provenance.
     """
     sweep = SweepDAG(list(jobs), use_cache)
     for job_index, spec in enumerate(jobs):
@@ -418,12 +406,11 @@ def build_sweep_dag(jobs: Sequence[JobSpec], use_cache: bool = True,
         except Exception as exc:
             sweep.build_errors[job_index] = f"{type(exc).__name__}: {exc}"
         if plan is not None:
-            identities = plan.identities()
             for name, task in plan.templates.items():
                 nodes[name] = sweep.dag.add_node(
-                    identities[name], f"{spec.workload}/{spec.policy}:{name}",
-                    "phase", spec, name, [nodes[dep] for dep in task.deps],
-                    job_index)
+                    plan.identities[name],
+                    f"{spec.workload}/{spec.policy}:{name}", "phase", spec,
+                    name, [nodes[dep] for dep in task.deps], job_index)
             if all(phase in nodes for phase in PHASES):
                 nodes["row"] = sweep.dag.add_node(
                     ("row", job_index), f"{spec.job_id}:row", "row", spec,

@@ -111,16 +111,17 @@ def _worker_cache(cache_dir: Optional[str], salt: Optional[str],
 
 
 class _TaskContext:
-    """Key and artifact resolution for one job's plan: the only code
-    that chains keys or resolves artifacts.
+    """Artifact resolution for one job's plan.
 
-    Keys are derived from dependency keys, and only with a store.
-    Artifacts come from the in-process run's finished ``nodes`` (template
-    -> :class:`~repro.batch.dag.TaskNode`), else from the store.
-    Resolution is *self-healing*: a dependency artifact that should be
-    in the store but is not (evicted under ``--cache-limit-mb``, or a
-    corrupt object) is recomputed transitively instead of raising —
-    the eviction race degrades to redundant work, never to a failure.
+    A template's artifact comes from the in-process run's finished
+    ``nodes`` (template -> :class:`~repro.batch.dag.TaskNode`), else
+    from the store under the key of the template's identity
+    (:attr:`~repro.batch.dag.JobPlan.identities`), else from computing
+    it.  Resolution is *self-healing*: a dependency artifact that
+    should be in the store but is not (evicted under
+    ``--cache-limit-mb``, or a corrupt object) is recomputed
+    transitively instead of raising — the eviction race degrades to
+    redundant work, never to a failure.
     """
 
     def __init__(self, plan: JobPlan, cache: Optional[ArtifactCache],
@@ -128,32 +129,21 @@ class _TaskContext:
         self.plan = plan
         self.cache = cache
         self.nodes = nodes or {}
-        self._keys: Dict[str, str] = {}
-
-    def key_of(self, template: str) -> str:
-        key = self._keys.get(template)
-        if key is None:
-            task = self.plan.templates[template]
-            dep_keys = {dep: self.key_of(dep) for dep in task.deps
-                        if self.plan.templates[dep].material is not None}
-            key = self.cache.key(task.material(dep_keys, self.value_of))
-            self._keys[template] = key
-        return key
 
     def ensure(self, template: str) -> Tuple[Any, bool]:
         """The template's artifact, and whether this call computed it.
 
-        Routed through the cache's single-flight latch: when two
-        threads (e.g. concurrent identical ``repro serve`` requests
+        Without a store it is computed and no key is derived.  With
+        one it is routed through the cache's single-flight latch: when
+        two threads (e.g. concurrent identical ``repro serve`` requests
         sharing one in-process cache) race on the same key, one
         computes and the other blocks on its latch — dedup happens
-        *before* the work starts.  A template without key material (a
-        view) is recomputed every time, never stored."""
-        if self.cache is None \
-                or self.plan.templates[template].material is None:
+        *before* the work starts."""
+        if self.cache is None:
             return self._compute(template), True
         return self.cache.fetch_or_compute(
-            self.key_of(template), lambda: self._compute(template))
+            self.cache.key(self.plan.identities[template]),
+            lambda: self._compute(template))
 
     def value_of(self, template: str) -> Any:
         node = self.nodes.get(template)

@@ -78,27 +78,15 @@ def compute_dominators(entry: Node,
     return {node: dom for node, dom in idom.items() if dom is not None}
 
 
-def dominates(idom: Dict[Node, Node], a: Node, b: Node) -> bool:
-    """True if ``a`` dominates ``b`` under the immediate-dominator map."""
-    node = b
-    while True:
-        if node == a:
-            return True
-        parent = idom.get(node)
-        if parent is None or parent == node:
-            return a == node
-        node = parent
-
-
 def dominance_numbering(idom: Dict[Node, Node]
                         ) -> Tuple[Dict[Node, int], Dict[Node, int]]:
     """Euler-tour interval labels of the dominator tree.
 
     Returns ``(tin, tout)`` such that ``a`` dominates ``b`` iff
-    ``tin[a] <= tin[b] < tout[a]`` — an O(1) query, versus the
-    O(tree-depth) idom-chain walk of :func:`dominates`.  Loop detection
-    asks one dominance question per CFG edge, so on deep expanded task
-    graphs the chain walks dominate its runtime.
+    ``tin[a] <= tin[b] < tout[a]`` — an O(1) query, versus an
+    O(tree-depth) walk up the idom chain.  Loop detection asks one
+    dominance question per CFG edge, so on deep expanded task graphs
+    chain walks would dominate its runtime.
     """
     children: Dict[Node, List[Node]] = {}
     root: Optional[Node] = None
@@ -130,24 +118,3 @@ def dominance_numbering(idom: Dict[Node, Node]
             clock += 1
             stack.pop()
     return tin, tout
-
-
-def dominance_frontier(entry: Node, succs: Dict[Node, List[Node]]
-                       ) -> Dict[Node, Set[Node]]:
-    """Dominance frontiers (Cytron et al.), occasionally useful for
-    path-analysis refinements and exercised by tests."""
-    idom = compute_dominators(entry, succs)
-    frontier: Dict[Node, Set[Node]] = {node: set() for node in idom}
-    preds: Dict[Node, List[Node]] = {node: [] for node in idom}
-    for node in idom:
-        for succ in succs.get(node, []):
-            if succ in preds:
-                preds[succ].append(node)
-    for node in idom:
-        if len(preds[node]) >= 2:
-            for pred in preds[node]:
-                runner = pred
-                while runner != idom[node]:
-                    frontier[runner].add(node)
-                    runner = idom[runner]
-    return frontier

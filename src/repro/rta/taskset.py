@@ -137,10 +137,27 @@ class TaskSet:
 ORDERINGS = ("given", "rate_monotonic", "reverse")
 
 
+def _integer(value: Any, field: str) -> int:
+    """``value`` if it is a JSON integer, else a :class:`ValueError`
+    naming ``field`` (``true`` and ``1000.7`` are not integers)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def parse_taskset(payload: Any) -> TaskSet:
-    """Build a :class:`TaskSet` from decoded JSON, validating shape."""
+    """Build a :class:`TaskSet` from decoded JSON, validating shape.
+
+    An unknown key, a missing one, a number that is not an integer or a
+    workload the suite does not define is a :class:`ValueError` naming
+    the field (``tasks[i].priority``)."""
+    from ..workloads.suite import WORKLOADS
+
     if not isinstance(payload, dict):
         raise ValueError("task set must be a JSON object")
+    unknown = set(payload) - {"name", "tasks", "context_switch_cycles"}
+    if unknown:
+        raise ValueError(f"task set: unknown keys {sorted(unknown)}")
     name = payload.get("name")
     if not isinstance(name, str) or not name:
         raise ValueError("task set needs a non-empty 'name'")
@@ -149,28 +166,38 @@ def parse_taskset(payload: Any) -> TaskSet:
         raise ValueError("task set needs a non-empty 'tasks' list")
     tasks = []
     for index, raw in enumerate(raw_tasks):
+        where = f"tasks[{index}]"
         if not isinstance(raw, dict):
-            raise ValueError(f"tasks[{index}] must be an object")
+            raise ValueError(f"{where} must be an object")
         unknown = set(raw) - {"name", "workload", "priority", "period",
                               "jitter", "threshold", "deadline"}
         if unknown:
-            raise ValueError(
-                f"tasks[{index}]: unknown keys {sorted(unknown)}")
+            raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
         for key in ("name", "workload", "priority", "period"):
             if key not in raw:
-                raise ValueError(f"tasks[{index}]: missing '{key}'")
+                raise ValueError(f"{where}: missing '{key}'")
+        if not isinstance(raw["name"], str):
+            raise ValueError(f"{where}.name must be a string, "
+                             f"got {raw['name']!r}")
+        workload = raw["workload"]
+        if not isinstance(workload, str) or workload not in WORKLOADS:
+            raise ValueError(f"{where}.workload: unknown workload "
+                             f"{workload!r}; available: "
+                             f"{', '.join(sorted(WORKLOADS))}")
+        optional = {key: None if raw.get(key) is None
+                    else _integer(raw[key], f"{where}.{key}")
+                    for key in ("threshold", "deadline")}
         tasks.append(RTTask(
-            name=raw["name"], workload=raw["workload"],
-            priority=int(raw["priority"]), period=int(raw["period"]),
-            jitter=int(raw.get("jitter", 0)),
-            threshold=(int(raw["threshold"])
-                       if raw.get("threshold") is not None else None),
-            deadline=(int(raw["deadline"])
-                      if raw.get("deadline") is not None else None)))
+            name=raw["name"], workload=workload,
+            priority=_integer(raw["priority"], f"{where}.priority"),
+            period=_integer(raw["period"], f"{where}.period"),
+            jitter=_integer(raw.get("jitter", 0), f"{where}.jitter"),
+            **optional))
     return TaskSet(
         name=name, tasks=tuple(tasks),
-        context_switch_cycles=int(
-            payload.get("context_switch_cycles", 0)))
+        context_switch_cycles=_integer(
+            payload.get("context_switch_cycles", 0),
+            "context_switch_cycles"))
 
 
 def load_taskset(path: str) -> TaskSet:

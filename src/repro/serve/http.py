@@ -123,6 +123,8 @@ class AnalysisServer(ThreadingHTTPServer):
         self.service = service
 
     def close(self) -> None:
+        """Stop a ``serve_forever`` loop running in another thread, then
+        release the socket and the service."""
         self.shutdown()
         self.server_close()
         self.service.close()

@@ -11,13 +11,15 @@ Each phase is a named, individually-cacheable step (:data:`PHASES`):
 :func:`analyze_wcet` runs them as a one-job task DAG on the batch
 layer's executor (:func:`repro.batch.scheduler.run_plans`), which can
 consult an optional content-addressed artifact cache (the
-:class:`~repro.batch.cachestore.ArtifactCache`).  Phase cache keys
-chain — each phase's key material embeds the keys of the phases it
-consumes — so any upstream input change transparently invalidates
-every downstream artifact, while unrelated inputs share: e.g. the
-expanded task graph and the value analysis are keyed only by
-(program, entry, indirect targets, context policy[, value parameters]),
-so both pipeline timing models reuse them.
+:class:`~repro.batch.cachestore.ArtifactCache`).  A phase names only
+its own inputs; the batch layer composes each phase's identity — the
+one name of its artifact, and the source of its cache key — from
+those inputs and the identities of the phases it consumes
+(:class:`repro.batch.dag.JobPlan`), so any upstream input change
+transparently invalidates every downstream artifact, while unrelated
+inputs share: e.g. the expanded task graph and the value analysis are
+keyed only by (program, entry, indirect targets, context policy[,
+value parameters]), so both pipeline timing models reuse them.
 """
 
 from __future__ import annotations
@@ -126,25 +128,20 @@ PHASES = ("cfg", "value", "loopbounds", "icache", "dcache", "pipeline",
 @dataclass(frozen=True)
 class PhaseTask:
     """Descriptor of one pipeline phase: everything a scheduler needs
-    to key, order, and run the phase *without* executing it.
+    to name, order, and run the phase *without* executing it.
 
-    ``material`` maps the cache keys of the phase's dependencies (name
-    -> key) and a ``fetch(name) -> artifact`` resolver to the phase's
-    own key material; ``compute`` maps the dependency artifacts (name
-    -> artifact) to the phase's artifact.  The split is what lets the
-    batch layer schedule phases of *many* jobs as one deduplicated
-    DAG: evaluated over its dependencies' task identities instead of
-    their keys, ``material`` yields the task's own identity
-    (:meth:`repro.batch.dag.JobPlan.identities`) without keying or
-    running anything.  A task without ``material`` is a cheap view
-    of its dependencies that is recomputed wherever it is needed and
-    never stored.
+    ``material`` spells the phase's own inputs — everything it reads
+    besides its dependencies' artifacts — and nothing else; ``compute``
+    maps the dependency artifacts (name -> artifact) to the phase's
+    artifact.  :class:`repro.batch.dag.JobPlan` composes the task's
+    identity from its material and its dependencies' identities, and
+    that identity is the artifact's one name: its DAG task and, through
+    :meth:`~repro.batch.cachestore.ArtifactCache.key`, its cache key.
     """
 
     name: str
     deps: Tuple[str, ...]
-    material: Optional[Callable[[Mapping[str, str],
-                                 Callable[[str], Any]], str]]
+    material: str
     compute: Callable[[Mapping[str, Any]], Any]
 
 
@@ -164,88 +161,6 @@ def _mapping_material(mapping: Optional[Mapping]) -> str:
 def _cache_config_material(config: CacheConfig) -> str:
     return (f"{config.num_sets}x{config.associativity}x"
             f"{config.line_size}p{config.miss_penalty}")
-
-
-# -- Key-material builders -------------------------------------------------------
-#
-# One function per phase, shared by every plan the batch layer's DAG
-# executor runs, so all entry points address the same artifacts: a
-# sweep's cold pool run and a later in-process warm run hit the same
-# cache objects.
-
-def material_cfg(program: Program, entry: Optional[int],
-                 indirect_targets: Optional[Dict[int, Sequence[int]]],
-                 policy: ContextPolicy) -> str:
-    # Keyed on the call-graph-reachable *code slice* rather than the
-    # monolithic content digest: editing a function the analyzed entry
-    # never reaches leaves this key — and through it every downstream
-    # phase key — stable.  reachable_slice() degrades to a
-    # content_digest()-derived key whenever its scan is imprecise, so
-    # this is never a weaker key than the whole-image one it replaced.
-    code_slice = program.reachable_slice(entry, indirect_targets).code
-    return (f"cfg|{code_slice}|entry={entry}"
-            f"|indirect={_mapping_material(indirect_targets)}"
-            f"|policy={policy.describe()}")
-
-
-def material_value(cfg_key: str, domain: Type[AbstractValue],
-                   register_ranges: Optional[Dict[int, Tuple[int, int]]],
-                   narrowing_passes: int, use_widening_thresholds: bool,
-                   memory_ranges: Optional[Dict[int, Tuple[int, int]]],
-                   effective_impl: str, data_digest: str) -> str:
-    # The value phase is the only one that reads initial data memory,
-    # so it alone carries the data-slice digest: a data-only edit
-    # invalidates value and its dependents while cfg/icache keep their
-    # keys (and their cached artifacts).
-    return (f"value|{cfg_key}"
-            f"|domain={domain.__module__}.{domain.__qualname__}"
-            f"|regs={_mapping_material(register_ranges)}"
-            f"|narrow={narrowing_passes}"
-            f"|wthresh={use_widening_thresholds}"
-            f"|mem={_mapping_material(memory_ranges)}"
-            f"|impl={effective_impl}"
-            f"|data={data_digest}")
-
-
-def material_loopbounds(value_key: str,
-                        manual_loop_bounds: Optional[Dict[int, int]]
-                        ) -> str:
-    return (f"loopbounds|{value_key}"
-            f"|manual={_mapping_material(manual_loop_bounds)}")
-
-
-def material_icache(cfg_key: str, config: CacheConfig,
-                    effective_impl: str) -> str:
-    return (f"icache|{cfg_key}"
-            f"|{_cache_config_material(config)}"
-            f"|impl={effective_impl}")
-
-
-def material_dcache(cfg_key: str, value_key: str, config: CacheConfig,
-                    use_value_analysis: bool,
-                    effective_impl: str) -> str:
-    return (f"dcache|{cfg_key}|{value_key}"
-            f"|{_cache_config_material(config)}"
-            f"|usevalue={use_value_analysis}"
-            f"|impl={effective_impl}")
-
-
-def material_pipeline(cfg_key: str, icache_key: str, dcache_key: str,
-                      config: MachineConfig) -> str:
-    return (f"pipeline|{cfg_key}"
-            f"|{icache_key}|{dcache_key}"
-            f"|model={config.pipeline_model}"
-            f"|cap={config.pipeline_state_cap}"
-            f"|bp={config.branch_penalty}|mul={config.mul_extra}"
-            f"|lus={config.load_use_stall}")
-
-
-def material_path(cfg_key: str, pipeline_key: str, loopbounds_key: str,
-                  value_key: str, use_infeasible_paths: bool,
-                  integer: bool) -> str:
-    return (f"path|{cfg_key}|{pipeline_key}"
-            f"|{loopbounds_key}|{value_key}"
-            f"|infeasible={use_infeasible_paths}|integer={integer}")
 
 
 def validate_annotations(register_ranges: Optional[Mapping] = None,
@@ -286,7 +201,8 @@ def phase_plan(program: Program,
     """Build the full pipeline as a list of :class:`PhaseTask`
     descriptors in execution order, without running anything.
 
-    Parameters mirror :func:`analyze_wcet` exactly.  The batch layer
+    Parameters mirror :func:`analyze_wcet` exactly.  Each task's
+    material spells the parameters its phase reads.  The batch layer
     wraps the descriptors into a :class:`~repro.batch.dag.JobPlan` and
     feeds the plans of one or many jobs into one deduplicated task DAG
     (:mod:`repro.batch.dag`).
@@ -337,46 +253,58 @@ def phase_plan(program: Program,
                              deps["loopbounds"], deps["value"],
                              use_infeasible_paths, integer)
 
+    program_slice = program.reachable_slice(entry, indirect_targets)
     return [
+        # Keyed on the call-graph-reachable *code slice* rather than the
+        # monolithic content digest: editing a function the analyzed
+        # entry never reaches leaves this identity — and through it
+        # every downstream phase's — stable.  reachable_slice() degrades
+        # to a content_digest()-derived digest whenever its scan is
+        # imprecise, so this is never a weaker key than the whole-image
+        # one it replaced.
         PhaseTask(
             "cfg", (),
-            lambda keys, fetch: material_cfg(program, entry,
-                                             indirect_targets, policy),
+            f"cfg|{program_slice.code}|entry={entry}"
+            f"|indirect={_mapping_material(indirect_targets)}"
+            f"|policy={policy.describe()}",
             compute_cfg),
+        # The value phase is the only one that reads initial data
+        # memory, so it alone carries the data-slice digest: a data-only
+        # edit invalidates value and its dependents while cfg/icache
+        # keep their keys (and their cached artifacts).
         PhaseTask(
             "value", ("cfg",),
-            lambda keys, fetch: material_value(
-                keys["cfg"], domain, register_ranges, narrowing_passes,
-                use_widening_thresholds, memory_ranges, value_impl,
-                program.reachable_slice(entry, indirect_targets).data),
+            f"value|domain={domain.__module__}.{domain.__qualname__}"
+            f"|regs={_mapping_material(register_ranges)}"
+            f"|narrow={narrowing_passes}"
+            f"|wthresh={use_widening_thresholds}"
+            f"|mem={_mapping_material(memory_ranges)}"
+            f"|impl={value_impl}|data={program_slice.data}",
             compute_value),
         PhaseTask(
             "loopbounds", ("value",),
-            lambda keys, fetch: material_loopbounds(keys["value"],
-                                                    manual_loop_bounds),
+            f"loopbounds|manual={_mapping_material(manual_loop_bounds)}",
             lambda deps: analyze_loop_bounds(deps["value"],
                                              manual_loop_bounds)),
         PhaseTask(
             "icache", ("cfg",),
-            lambda keys, fetch: material_icache(keys["cfg"],
-                                                config.icache, impl),
+            f"icache|{_cache_config_material(config.icache)}|impl={impl}",
             compute_icache),
         PhaseTask(
             "dcache", ("cfg", "value"),
-            lambda keys, fetch: material_dcache(
-                keys["cfg"], keys["value"], config.dcache,
-                use_value_analysis_for_dcache, impl),
+            f"dcache|{_cache_config_material(config.dcache)}"
+            f"|usevalue={use_value_analysis_for_dcache}|impl={impl}",
             compute_dcache),
         PhaseTask(
             "pipeline", ("cfg", "icache", "dcache"),
-            lambda keys, fetch: material_pipeline(
-                keys["cfg"], keys["icache"], keys["dcache"], config),
+            f"pipeline|model={config.pipeline_model}"
+            f"|cap={config.pipeline_state_cap}"
+            f"|bp={config.branch_penalty}|mul={config.mul_extra}"
+            f"|lus={config.load_use_stall}",
             compute_pipeline),
         PhaseTask(
             "path", ("cfg", "pipeline", "loopbounds", "value"),
-            lambda keys, fetch: material_path(
-                keys["cfg"], keys["pipeline"], keys["loopbounds"],
-                keys["value"], use_infeasible_paths, integer),
+            f"path|infeasible={use_infeasible_paths}|integer={integer}",
             compute_path),
     ]
 

@@ -394,13 +394,12 @@ def test_cached_analysis_is_bit_identical_to_uncached(tmp_path):
 def test_uncached_analysis_derives_no_keys(monkeypatch):
     # Without a store the executor keys nothing: on the large point key
     # derivation alone would cost ~2% of an uncached analyze_wcet.
-    from repro.batch.scheduler import _TaskContext
     from repro.wcet.ait import analyze_loop_annotations
 
-    def no_keys(self, template):
-        raise AssertionError(f"derived a key for {template} without a store")
+    def no_keys(self, material):
+        raise AssertionError(f"derived a key without a store: {material}")
 
-    monkeypatch.setattr(_TaskContext, "key_of", no_keys)
+    monkeypatch.setattr(ArtifactCache, "key", no_keys)
     workload = get_workload("fibcall")
     result = analyze_workload(workload)
     assert result.cache_events == {}

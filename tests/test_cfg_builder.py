@@ -308,31 +308,27 @@ class TestLoopDetection:
 
 
 class TestDominators:
+    # Dominance is queried the way loop detection queries it: through
+    # the dominator tree's interval labels.
     def test_entry_dominates_all(self):
-        from repro.cfg import compute_dominators, dominates
+        from repro.cfg import compute_dominators
+        from repro.cfg.dominators import dominance_numbering
         binary = build_cfg(assemble(IF_ELSE))
         graph = expand_task(binary)
         idom = compute_dominators(graph.entry, graph.adjacency())
+        tin, tout = dominance_numbering(idom)
         for node in graph.nodes():
-            assert dominates(idom, graph.entry, node)
+            assert tin[graph.entry] <= tin[node] < tout[graph.entry]
 
     def test_join_not_dominated_by_branches(self):
-        from repro.cfg import compute_dominators, dominates
+        from repro.cfg import compute_dominators
+        from repro.cfg.dominators import dominance_numbering
         binary = build_cfg(assemble(IF_ELSE))
         graph = expand_task(binary)
         idom = compute_dominators(graph.entry, graph.adjacency())
+        tin, tout = dominance_numbering(idom)
         symbols = binary.program.symbols
         join = next(n for n in graph.nodes() if n.block == symbols["join"])
         less = next(n for n in graph.nodes() if n.block == symbols["less"])
-        assert not dominates(idom, less, join)
+        assert not tin[less] <= tin[join] < tout[less]
         assert idom[join] == graph.entry
-
-    def test_dominance_frontier_of_branch_arms(self):
-        from repro.cfg import dominance_frontier
-        binary = build_cfg(assemble(IF_ELSE))
-        graph = expand_task(binary)
-        frontier = dominance_frontier(graph.entry, graph.adjacency())
-        symbols = binary.program.symbols
-        less = next(n for n in graph.nodes() if n.block == symbols["less"])
-        join = next(n for n in graph.nodes() if n.block == symbols["join"])
-        assert frontier[less] == {join}

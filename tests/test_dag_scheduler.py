@@ -27,8 +27,8 @@ from repro.batch import (ArtifactCache, JobPlan, JobSpec, TaskDAG,
                          compare_rows, expand_matrix, load_golden,
                          parse_policy, run_sweep)
 from repro.batch import scheduler as dag_scheduler
-from repro.batch.scheduler import (JobCancelled, JobTimeout, _TaskContext,
-                                   run_dag, run_plans)
+from repro.batch.dag import _plan_for
+from repro.batch.scheduler import JobCancelled, JobTimeout, run_dag, run_plans
 from repro.cache.config import MachineConfig
 from repro.isa.assembler import assemble
 from repro.wcet.ait import PHASES, analyze_wcet
@@ -173,13 +173,12 @@ loop:
 
 
 def merging_nodes(sweep):
-    """Labels of the stored-template nodes whose refs derive more than
-    one cache key (with a store, through ``_TaskContext.key_of``)."""
+    """Labels of the phase nodes whose refs derive more than one cache
+    key (the key the executor uses: the store's key of the identity)."""
     store = ArtifactCache()
-    contexts = [_TaskContext(plan, store) for plan in sweep.plans]
     return [node.label for node in sweep.dag.nodes
-            if node.kind == "phase" and node.template != "annotate"
-            and len({contexts[job].key_of(template)
+            if node.kind == "phase"
+            and len({store.key(sweep.plans[job].identities[template])
                      for job, template in node.refs}) > 1]
 
 
@@ -228,6 +227,37 @@ class TestTaskIdentity:
         sweep = build_sweep_dag(expand_matrix(ANNOTATED_MATRIX))
         assert merging_nodes(sweep) == []
 
+    def test_no_two_tasks_share_a_cache_key(self):
+        # Identity and cache key name an artifact alike, so the full
+        # matrix's tasks and their keys correspond one to one: no task
+        # is served an artifact another task stored.
+        sweep = build_sweep_dag(expand_matrix("all:all:all"))
+        store = ArtifactCache()
+        keys = [store.key(sweep.plans[node.refs[0][0]]
+                          .identities[node.template])
+                for node in sweep.dag.nodes if node.kind == "phase"]
+        assert len(set(keys)) == len(keys) == sweep.dag.unique_tasks
+        assert merging_nodes(sweep) == []
+
+    def test_keying_an_annotated_plan_runs_no_analysis(self, monkeypatch):
+        # A key digests the plan's identity alone: keying the loop-bound
+        # and path phases downstream of bs's annotate task fetches and
+        # analyzes nothing, even with a store present.
+        from repro.wcet import ait
+
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("keying ran the value analysis")
+
+        monkeypatch.setattr(ait, "analyze_values", no_analysis)
+        clear_process_caches()
+        plan, _ = _plan_for(JobSpec("bs", "full", "additive"))
+        store = ArtifactCache()
+        keys = {template: store.key(identity)
+                for template, identity in plan.identities.items()}
+        assert {"annotate", "loopbounds", "path"} <= set(keys)
+        assert keys["loopbounds"] != keys["discover:loopbounds"]
+        assert (store.hits, store.misses) == (0, 0)
+
     def test_serve_batch_merges_only_equal_keys(self):
         # One program under 3 policies x 2 models, planned the way a
         # serve request plans it.
@@ -274,12 +304,9 @@ class TestSchedulerDeterminism:
             assert stats[key] == value
         assert stats["computed_tasks"] + stats["cache_served_tasks"] \
             == stats["unique_tasks"]
-        # Cold, so the one cache-served task is a real store hit:
-        # bs/full:loopbounds has the key of its discovery twin.  The
-        # annotate view is recomputed on every run, so it counts as
-        # computed.
+        # Cold, and every task has its own key, so every task computes.
         assert (stats["computed_tasks"], stats["cache_served_tasks"]) \
-            == (37, 1)
+            == (38, 0)
         assert stats["deduped_tasks"] > 0
         assert 0 < sum(stats["worker_busy_fraction"].values())
 
@@ -327,20 +354,17 @@ class TestSchedulerDeterminism:
         assert result.scheduler["deduped_tasks"] == 34
 
     def test_warm_shared_cache_dir_serves_everything(self, tmp_path):
-        # Every stored artifact comes from the cache; only the
-        # never-stored annotate view (bs's) is recomputed.
+        # Every task's artifact is stored, bs's annotate mapping
+        # included, so a warm rerun computes nothing.
         jobs = expand_matrix(SMALL_MATRIX)
-        views = sum(node.template == "annotate"
-                    for node in build_sweep_dag(jobs).dag.nodes)
-        assert views == 1
         clear_process_caches()
         run_sweep(jobs, parallel=2, cache_dir=str(tmp_path))
         clear_process_caches()
         warm = run_sweep(jobs, parallel=2, cache_dir=str(tmp_path))
         assert warm.hit_ratio() == 1.0
-        assert warm.scheduler["computed_tasks"] == views
+        assert warm.scheduler["computed_tasks"] == 0
         assert warm.scheduler["cache_served_tasks"] \
-            == warm.scheduler["unique_tasks"] - views
+            == warm.scheduler["unique_tasks"]
 
 
 # -- Timing fields ---------------------------------------------------------------

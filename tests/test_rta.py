@@ -145,6 +145,28 @@ class TestTaskSetModel:
                            "tasks": [{"name": "a", "priority": 1,
                                       "period": 10}]})
 
+    @pytest.mark.parametrize("top, task, named", [
+        ({"bogus": 1}, {}, "bogus"),
+        ({}, {"workload": "nosuch"}, "tasks[1].workload"),
+        ({}, {"priority": "x"}, "tasks[1].priority"),
+        ({}, {"priority": True}, "tasks[1].priority"),
+        ({}, {"period": 1000.7}, "tasks[1].period"),
+        ({}, {"jitter": None}, "tasks[1].jitter"),
+        ({}, {"deadline": "8000"}, "tasks[1].deadline"),
+        ({}, {"name": 7}, "tasks[1].name"),
+        ({"context_switch_cycles": 4.5}, {}, "context_switch_cycles"),
+    ], ids=["unknown-key", "unknown-workload", "string-priority",
+            "boolean-priority", "fractional-period", "null-jitter",
+            "string-deadline", "numeric-name", "fractional-switch-cost"])
+    def test_parse_taskset_error_names_the_field(self, top, task, named):
+        good = {"name": "a", "workload": "fibcall", "priority": 2,
+                "period": 5000}
+        payload = {"name": "s", **top,
+                   "tasks": [good, {**good, "name": "b", **task}]}
+        with pytest.raises(ValueError) as error:
+            parse_taskset(payload)
+        assert named in str(error.value)
+
     def test_load_taskset_fixture_matches_python_example(self):
         # tasksets/ecu_mix.json documents the JSON shape; it must stay
         # in sync with the canonical Python definition.

@@ -1,6 +1,8 @@
 """Tests for the bound-verification API and the command-line tool."""
 
+import json
 import socket
+import threading
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,14 @@ loop:
     BGT loop
     HALT
 """
+
+
+def one_task_set(top=None, **task):
+    """Task-set JSON with one valid task, whose keys ``task`` overrides;
+    ``top`` adds keys to the set itself."""
+    return json.dumps({"name": "s", **(top or {}), "tasks": [
+        {"name": "t", "workload": "fibcall", "priority": 1, "period": 6000,
+         **task}]})
 
 
 class TestVerifyBounds:
@@ -232,9 +242,18 @@ class TestCLI:
         (["rta", "missing.json"], "FileNotFoundError"),
         (["analyze", "task.c", "--url", "URL"], "URLError"),
         (["run", "task.c", "--max-steps", "3"], "OutOfFuel"),
+        (["rta", "nosuch.json"], "ValueError"),
+        (["rta", "nosuch.json", "--sweep"], "ValueError"),
+        (["rta", "bogus.json"], "ValueError"),
+        (["rta", "priority.json"], "ValueError"),
+        (["rta", "boolean.json"], "ValueError"),
+        (["rta", "fraction.json"], "ValueError"),
     ], ids=["unbounded-loop", "recursion", "stack-recursion",
             "syntax-error", "unknown-mnemonic", "missing-source",
-            "missing-taskset", "no-server", "out-of-fuel"])
+            "missing-taskset", "no-server", "out-of-fuel",
+            "unknown-workload", "unknown-workload-sweep",
+            "unknown-taskset-key", "string-priority", "boolean-priority",
+            "fractional-period"])
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys,
                                               argv, error):
         inputs = {
@@ -246,6 +265,11 @@ class TestCLI:
             "mnemonic.s": "main:\n    FROB R1, R2\n    HALT\n",
             "task.c": "int r;\nvoid main() { int i; "
                       "for (i = 0; i < 5; i = i + 1) { r = r + i; } }\n",
+            "nosuch.json": one_task_set(workload="nosuch"),
+            "bogus.json": one_task_set(top={"bogus": 1}),
+            "priority.json": one_task_set(priority="x"),
+            "boolean.json": one_task_set(priority=True),
+            "fraction.json": one_task_set(period=1000.7),
         }
         for name, text in inputs.items():
             (tmp_path / name).write_text(text)
@@ -259,6 +283,30 @@ class TestCLI:
         assert cli_main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"repro: error: {error}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_serve_whose_loop_never_starts_exits(self, capsys,
+                                                 monkeypatch):
+        # serve_forever failing before its loop runs ends `repro serve`
+        # with one error line; the command must not wait in shutdown()
+        # for a loop that never started.
+        from repro.serve import AnalysisServer
+
+        def no_loop(server, *args, **kwargs):
+            raise OSError("the serve loop cannot start")
+
+        monkeypatch.setattr(AnalysisServer, "serve_forever", no_loop)
+        status = []
+        thread = threading.Thread(
+            target=lambda: status.append(
+                cli_main(["serve", "--port", "0"])),
+            daemon=True)
+        thread.start()
+        thread.join(timeout=5)
+        assert not thread.is_alive(), "repro serve did not return"
+        assert status == [1]
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: OSError: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_wcet_runs_value_analysis_once(self, c_file, monkeypatch,
