@@ -356,8 +356,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if args.min_retries is not None:
         retries = scheduler["retries"]
         if retries < args.min_retries:
-            failures.append(f"scheduler retried {retries} tasks, below "
-                            f"required {args.min_retries} (fault "
+            failures.append(f"scheduler re-executed {retries} tasks, "
+                            f"below required {args.min_retries} (fault "
                             f"injection not exercised)")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
@@ -570,9 +570,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(CI cross-job sharing guard)")
     p_batch.add_argument("--min-retries", type=int, default=None,
                         metavar="N",
-                        help="fail unless the DAG scheduler retried "
-                             "at least N tasks (CI chaos guard; pair "
-                             "with $REPRO_FAULTS)")
+                        help="fail unless the DAG scheduler "
+                             "re-executed at least N tasks a dead worker "
+                             "lost (CI chaos guard; pair with "
+                             "$REPRO_FAULTS)")
     p_batch.set_defaults(func=cmd_batch)
 
     p_rta = sub.add_parser(

@@ -182,10 +182,6 @@ class TaskDAG:
                 stack.append((dependent, downstream))
         return failed
 
-    def unfinished(self) -> List[TaskNode]:
-        return [node for node in self.nodes
-                if node.state not in ("done", "failed")]
-
 
 @dataclass
 class SweepDAG:
@@ -349,11 +345,23 @@ class JobPlan:
                                                 task.compute))
 
 
-# Module-level memos live in each process that plans sweep jobs: the
-# parent plans every job while it builds the DAG, and fork workers
-# inherit its compiled binaries and plans instead of building their own.
+# Module-level memos live in each process that plans sweep jobs or
+# analyzes task sets: the parent plans every job while it builds the
+# DAG, and fork workers inherit its compiled binaries and plans instead
+# of building their own.
 _PROGRAM_MEMO: Dict[str, Program] = {}
 _PLAN_MEMO: Dict[Tuple[str, str, str, str], JobPlan] = {}
+
+
+def compiled_program(workload: Workload) -> Tuple[Program, float]:
+    """The memoised binary of one suite workload, and the seconds this
+    call spent compiling it (0.0 when the binary was memoised)."""
+    program = _PROGRAM_MEMO.get(workload.name)
+    if program is not None:
+        return program, 0.0
+    start = time.perf_counter()
+    program = _PROGRAM_MEMO[workload.name] = workload.compile()
+    return program, time.perf_counter() - start
 
 
 def _plan_for(spec: JobSpec) -> Tuple[JobPlan, float]:
@@ -369,11 +377,7 @@ def _plan_for(spec: JobSpec) -> Tuple[JobPlan, float]:
     compile_seconds = 0.0
     if plan is None:
         workload = get_workload(spec.workload)
-        program = _PROGRAM_MEMO.get(spec.workload)
-        if program is None:
-            start = time.perf_counter()
-            program = _PROGRAM_MEMO[spec.workload] = workload.compile()
-            compile_seconds = time.perf_counter() - start
+        program, compile_seconds = compiled_program(workload)
         plan = _PLAN_MEMO[memo_key] = JobPlan(
             program, workload, spec, manual_loop_bounds={},
             context_policy=spec.policy_object(), pipeline_model=spec.model,

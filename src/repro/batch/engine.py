@@ -74,12 +74,8 @@ def run_sweep(jobs: List[JobSpec],
               parallel: int = 1,
               cache_dir: Optional[str] = None,
               use_cache: bool = True,
-              salt: Optional[str] = None,
               jsonl_path: Optional[str] = None,
-              cache_limit_mb: Optional[float] = None,
-              max_task_retries: int = dag_scheduler.DEFAULT_TASK_RETRIES,
-              max_pool_rebuilds: int =
-              dag_scheduler.DEFAULT_POOL_REBUILDS) -> SweepResult:
+              cache_limit_mb: Optional[float] = None) -> SweepResult:
     """Run every job of the sweep and collect rows in job order.
 
     The sweep is one deduplicated phase-task DAG
@@ -91,14 +87,11 @@ def run_sweep(jobs: List[JobSpec],
     store.  ``use_cache=False`` ignores ``cache_dir``: in-process
     nothing is keyed or stored, a pool still exchanges artifacts
     through a spill directory, and rows record no cache provenance.
-    ``salt`` overrides the code-version salt (tests only).
     ``cache_limit_mb`` bounds the on-disk store: after each write the
     least-recently-used objects are evicted until the store fits;
     workers treat objects evicted under them as misses and recompute.
-    ``max_task_retries`` / ``max_pool_rebuilds`` bound the DAG
-    scheduler's fault tolerance (task retry with backoff, dead-pool
-    rebuild, then degraded in-process execution; see
-    :func:`repro.batch.scheduler.run_dag`).
+    A failing task fails its jobs into error rows; a dead worker's
+    tasks run again (see :func:`repro.batch.scheduler.run_dag`).
     """
     start = time.perf_counter()
     limit_bytes = int(cache_limit_mb * 1024 * 1024) \
@@ -106,18 +99,15 @@ def run_sweep(jobs: List[JobSpec],
     sweep_dag = build_sweep_dag(jobs, use_cache=use_cache)
     store = spill = None
     if use_cache and cache_dir is not None:
-        store = dag_scheduler._worker_cache(cache_dir, salt, limit_bytes)
+        store = dag_scheduler._worker_cache(cache_dir, None, limit_bytes)
     elif parallel > 1:
         spill = tempfile.TemporaryDirectory(prefix="repro-dag-")
-        store = ArtifactCache(spill.name, salt=salt,
-                              limit_bytes=limit_bytes)
+        store = ArtifactCache(spill.name, limit_bytes=limit_bytes)
     elif use_cache:
-        store = ArtifactCache(None, salt=salt)
+        store = ArtifactCache()
     try:
-        rows, stats = dag_scheduler.run_dag(
-            sweep_dag, parallel=parallel, store=store,
-            max_task_retries=max_task_retries,
-            max_pool_rebuilds=max_pool_rebuilds)
+        rows, stats = dag_scheduler.run_dag(sweep_dag, parallel=parallel,
+                                            store=store)
     finally:
         if spill is not None:
             spill.cleanup()

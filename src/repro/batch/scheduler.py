@@ -3,9 +3,8 @@
 :func:`run_dag` drains a :class:`~repro.batch.dag.SweepDAG` — a sweep
 (``repro batch``), one ``analyze_wcet``/``analyze_workload`` call, or
 one ``repro serve`` request — in one loop over a heap of ready tasks
-keyed by build index, a heap of retries waiting out their backoff, and
-the futures of the tasks in flight.  ``parallel`` decides only where a
-ready task runs:
+keyed by build index and the futures of the tasks in flight.
+``parallel`` decides only where a ready task runs:
 
 * ``parallel <= 1``: in the calling process, with capacity one: the
   lowest-index ready task runs on the callers' own plans, and its
@@ -21,15 +20,19 @@ ready task runs:
   eviction under ``--cache-limit-mb`` — is a miss and recomputed
   transitively, never raised.
 
-Failure handling is *healing*, not aborting: a task that errors is
-retried with exponential backoff up to a per-task budget before its
-transitive dependents fail into error rows; a dead worker
-(``BrokenProcessPool``) puts the tasks in flight back on the ready
-heap and the pool is rebuilt a bounded number of times, after which
-the same loop carries on without a pool — slower, but every row still
-completes with bit-identical bounds.  The retry/rebuild/degraded
-counters land in :class:`SchedulerStats`, a plain record whose fields
-are the keys of ``SweepResult.scheduler`` (read as
+A task that returns an error fails at once, and with it every
+transitive dependent, into error rows: no task error is transient.
+The store turns a vanished object into a miss and an unreadable one
+into a quarantine plus a recompute, and it swallows failed writes, so
+what reaches a task's outcome is the analysis itself rejecting its
+input (an unbounded loop, a malformed CFG), which fails the same way
+when run again.  Only the work a dead worker lost runs again: a
+``BrokenProcessPool`` puts the tasks in flight back on the ready heap
+and the pool is rebuilt up to :data:`MAX_POOL_REBUILDS` times, after
+which the same loop carries on without a pool — slower, but every row
+still completes with bit-identical bounds.  The resubmission, rebuild
+and degraded counters land in :class:`SchedulerStats`, a plain record
+whose fields are the keys of ``SweepResult.scheduler`` (read as
 ``dict(vars(stats))``, like every work-counter record).
 """
 
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import multiprocessing
 import os
 import threading
@@ -55,13 +57,9 @@ from .dag import (_PLAN_MEMO, _PROGRAM_MEMO, JobPlan, SweepDAG, TaskNode,
                   _plan_for, build_sweep_dag)
 from .jobs import JobSpec
 
-#: Default fault-tolerance budgets: how often one task may fail before
-#: its jobs become error rows, and how often a broken pool is rebuilt
-#: before degrading to in-process execution.
-DEFAULT_TASK_RETRIES = 2
-DEFAULT_POOL_REBUILDS = 3
-#: Base of the exponential retry backoff, in seconds.
-RETRY_BACKOFF_SECONDS = 0.05
+#: How often a broken pool is rebuilt before the run degrades to
+#: in-process execution.
+MAX_POOL_REBUILDS = 3
 
 
 class JobCancelled(Exception):
@@ -271,8 +269,8 @@ class SchedulerStats:
     computed_tasks: int = 0
     cache_served_tasks: int = 0
     steals: int = 0
-    #: task re-executions: error-payload retries plus resubmissions of
-    #: tasks that were in flight when the pool died.
+    #: task re-executions: resubmissions of the tasks that were in
+    #: flight when the pool died.
     retries: int = 0
     #: times a BrokenProcessPool was replaced with a fresh pool.
     pool_rebuilds: int = 0
@@ -297,8 +295,6 @@ def _error_row(spec: JobSpec, message: str) -> dict:
 
 def run_dag(sweep: SweepDAG, parallel: int = 1,
             store: Optional[ArtifactCache] = None,
-            max_task_retries: int = DEFAULT_TASK_RETRIES,
-            max_pool_rebuilds: int = DEFAULT_POOL_REBUILDS,
             cancel: Optional[threading.Event] = None,
             deadline: Optional[float] = None
             ) -> Tuple[List[dict], SchedulerStats]:
@@ -307,11 +303,10 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
     for failed jobs) and the scheduler's statistics.
 
     Tasks use ``store``; pool workers open ``store.root``, so a pool
-    needs a store on disk.  A task that errors is retried up to
-    ``max_task_retries`` times with exponential backoff
-    (``RETRY_BACKOFF_SECONDS * 2**attempt``) before failing its jobs; a
-    dead pool is rebuilt up to ``max_pool_rebuilds`` times, and past
-    that budget the loop carries on without a pool (degraded mode).
+    needs a store on disk.  A task that errors fails its jobs at once;
+    a dead pool is rebuilt up to :data:`MAX_POOL_REBUILDS` times, and
+    past that budget the loop carries on without a pool (degraded
+    mode).
     ``cancel`` (an event) and ``deadline`` (a :func:`time.monotonic`
     instant) are checked between tasks and raise :class:`JobCancelled`
     / :class:`JobTimeout`.
@@ -348,26 +343,6 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
             if failed_index is not None and rows[failed_index] is None:
                 rows[failed_index] = _error_row(failed.spec, failed.error)
 
-    # Retry machinery: attempts counts error-payload failures per node
-    # (kills don't burn the budget — the culprit can't be identified);
-    # deferred holds backoff-delayed retries as (ready-time, tiebreak,
-    # node).
-    attempts: Dict[int, int] = {}
-    deferred: List[Tuple[float, int, TaskNode]] = []
-    deferred_seq = itertools.count()
-
-    def retry_or_fail(node: TaskNode, message: str) -> None:
-        count = attempts.get(node.index, 0)
-        if count >= max_task_retries:
-            record_failure(node, f"{message} (task failed "
-                                 f"{count + 1} times)")
-            return
-        attempts[node.index] = count + 1
-        stats.retries += 1
-        delay = RETRY_BACKOFF_SECONDS * (2 ** count)
-        heapq.heappush(deferred, (time.monotonic() + delay,
-                                  next(deferred_seq), node))
-
     # Per worker pid: seconds spent executing tasks, and the latest
     # memo snapshot and cumulative quarantine count of its cache.
     busy: Dict[int, float] = {}
@@ -375,8 +350,8 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
     quarantined: Dict[int, int] = {}
 
     def absorb(node: TaskNode, outcome: dict) -> List[TaskNode]:
-        """Book one task outcome; error outcomes go through the retry
-        budget.  Returns the newly-released dependents."""
+        """Book one task outcome; an error outcome fails the task.
+        Returns the newly-released dependents."""
         pid = outcome["pid"]
         seconds = outcome["seconds"]
         busy[pid] = busy.get(pid, 0.0) + seconds
@@ -385,7 +360,7 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
             quarantined[pid] = outcome["quarantined"]
         error = outcome.get("error")
         if error is not None:
-            retry_or_fail(node, error)
+            record_failure(node, error)
             return []
         if node.deps:
             handoff = max(node.deps,
@@ -431,18 +406,10 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
     ready = [node.index for node in dag.start()]
     futures: Dict[Future, TaskNode] = {}
     pool: Optional[ProcessPoolExecutor] = None
-    rebuilds_left = max_pool_rebuilds
     degraded = False
     try:
-        while ready or futures or deferred:
+        while ready or futures:
             check_abort()
-            now = time.monotonic()
-            while deferred and deferred[0][0] <= now:
-                heapq.heappush(ready, heapq.heappop(deferred)[2].index)
-            if not ready and not futures:
-                # Everything left is waiting out a backoff.
-                time.sleep(deferred[0][0] - now)
-                continue
             broken = False
             if parallel <= 1 or degraded:
                 node = dag.nodes[heapq.heappop(ready)]
@@ -463,10 +430,7 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
                 except BrokenProcessPool:
                     broken = True
             if not broken:
-                timeout = max(0.0, deferred[0][0] - now) \
-                    if deferred else None
-                done, _ = wait(futures, timeout=timeout,
-                               return_when=FIRST_COMPLETED)
+                done, _ = wait(futures, return_when=FIRST_COMPLETED)
                 for future in done:
                     node = futures.pop(future)
                     error = future.exception()
@@ -474,8 +438,8 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
                         futures[future] = node    # still in flight
                         broken = True
                     elif error is not None:
-                        retry_or_fail(node,
-                                      f"{type(error).__name__}: {error}")
+                        record_failure(node,
+                                       f"{type(error).__name__}: {error}")
                     else:
                         for released in absorb(node, future.result()):
                             heapq.heappush(ready, released.index)
@@ -488,22 +452,13 @@ def run_dag(sweep: SweepDAG, parallel: int = 1,
                 futures.clear()
                 pool.shutdown()
                 pool = None
-                degraded = rebuilds_left == 0
+                degraded = stats.pool_rebuilds == MAX_POOL_REBUILDS
                 if not degraded:
-                    rebuilds_left -= 1
                     stats.pool_rebuilds += 1
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    for node in dag.unfinished():
-        # Nodes stranded by an abort that fail() already visited have
-        # error rows; anything else (defensively) becomes one too.
-        record_failure(node, "task was never scheduled")
-    for job_index, row in enumerate(rows):
-        if row is None and sweep.row_nodes[job_index] is not None:
-            rows[job_index] = _error_row(sweep.jobs[job_index],
-                                         "job did not complete")
     wall = time.perf_counter() - start
     stats.wall_seconds = round(wall, 6)
     if wall > 0:
@@ -524,12 +479,12 @@ def run_plans(plans: Sequence[JobPlan],
               ) -> Tuple[List[dict], SweepDAG]:
     """Run in-process callers' plans as one DAG in this process;
     returns the rows and the drained DAG (see
-    :meth:`~repro.batch.dag.SweepDAG.artifact`).  A failing task is not
-    retried: its exception reaches the caller."""
+    :meth:`~repro.batch.dag.SweepDAG.artifact`).  A failing task's
+    exception reaches the caller."""
     sweep = build_sweep_dag([plan.spec for plan in plans],
                             use_cache=store is not None, plans=plans)
-    rows, _ = run_dag(sweep, store=store, max_task_retries=0,
-                      cancel=cancel, deadline=deadline)
+    rows, _ = run_dag(sweep, store=store, cancel=cancel,
+                      deadline=deadline)
     for node in sweep.dag.nodes:
         if node.exception is not None:
             raise node.exception

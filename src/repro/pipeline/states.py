@@ -4,23 +4,17 @@
 processor pipeline" by computing *sets of abstract pipeline states* at
 program points (Section 3).  For the 5-stage in-order KRISC pipeline
 the timing-relevant state crossing a basic-block boundary is small:
+``pending`` — per register, how many cycles until a value loaded near
+the end of a predecessor block becomes forwardable (the load-use
+interlock window).
 
-* ``mem_residue`` — how many cycles the MEM unit is still busy past
-  the block-entry reference point (an in-flight cache miss whose
-  stall later memory accesses would queue behind), and
-* ``pending`` — per register, how many cycles until a value loaded
-  near the end of a predecessor block becomes forwardable (the
-  load-use interlock window).
-
-The shipped analysis *serialises* the MEM residue at every block
-boundary (the block's elapsed charge covers it, see
-:func:`walk_block`), so exit states always carry ``mem_residue == 0``
-— that choice is what makes every per-block cost provably no worse
-than the additive model's.  The component stays in the domain as the
-walker's entry-side input and as the documented precision lever: an
-implementation that propagates bounded residues across boundaries
-instead of charging them locally would tighten blocks that can hide a
-predecessor's miss, at the cost of the per-node ≤-additive guarantee.
+The MEM unit's state does not cross a boundary: the walker charges an
+in-flight cache miss to the block that issued it (the block's elapsed
+time covers it, see :func:`walk_block`), so every block starts with a
+free MEM unit — that choice is what makes every per-block cost
+provably no worse than the additive model's.  Propagating bounded
+MEM residues across boundaries instead would tighten blocks that can
+hide a predecessor's miss, at the cost of that per-node guarantee.
 
 A :class:`PipeState` is one such boundary condition; the analysis
 domain is a *set* of them per task-graph node (:class:`PipeStateSet`)
@@ -74,12 +68,9 @@ class PipeState:
     point) until the register's loaded value is forwardable.
     """
 
-    mem_residue: int = 0
     pending: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.mem_residue < 0:
-            raise ValueError("mem_residue must be non-negative")
         if any(delay < 1 for _, delay in self.pending):
             raise ValueError("pending delays must be positive")
         if list(self.pending) != sorted(self.pending):
@@ -92,8 +83,6 @@ class PipeState:
         A dominating state can only produce a later schedule, so
         keeping it and dropping ``other`` over-approximates soundly.
         """
-        if self.mem_residue < other.mem_residue:
-            return False
         if other.pending:
             mine = dict(self.pending)
             for reg, delay in other.pending:
@@ -107,11 +96,10 @@ class PipeState:
         for reg, delay in other.pending:
             if pending.get(reg, 0) < delay:
                 pending[reg] = delay
-        return PipeState(max(self.mem_residue, other.mem_residue),
-                         tuple(sorted(pending.items())))
+        return PipeState(tuple(sorted(pending.items())))
 
     def _key(self) -> Tuple:
-        return (self.mem_residue, self.pending)
+        return self.pending
 
 
 @dataclass
@@ -212,9 +200,8 @@ class PipeStateSet:
 def _distance(a: PipeState, b: PipeState) -> Tuple[int, Tuple]:
     """Deterministic closeness measure for cap merging."""
     pa, pb = dict(a.pending), dict(b.pending)
-    total = abs(a.mem_residue - b.mem_residue)
-    for reg in set(pa) | set(pb):
-        total += abs(pa.get(reg, 0) - pb.get(reg, 0))
+    total = sum(abs(pa.get(reg, 0) - pb.get(reg, 0))
+                for reg in set(pa) | set(pb))
     return (total, a._key(), b._key())
 
 
@@ -254,7 +241,7 @@ def walk_block(block: BasicBlock, state: PipeState,
 
     fetch_free = 0
     ex_free = 0
-    mem_free = state.mem_residue
+    mem_free = 0
     pending: Dict[int, int] = dict(state.pending)
     onetime = 0
 
@@ -323,4 +310,4 @@ def walk_block(block: BasicBlock, state: PipeState,
     exit_pending = tuple(sorted(
         (reg, when - elapsed) for reg, when in pending.items()
         if when > elapsed))
-    return BlockWalk(elapsed, PipeState(0, exit_pending), onetime)
+    return BlockWalk(elapsed, PipeState(exit_pending), onetime)

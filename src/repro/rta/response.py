@@ -217,10 +217,12 @@ def analyze_taskset(taskset: TaskSet,
 
     Per-task WCETs are ordinary cached ``analyze_wcet`` phase products
     (one shared ``cache`` across all tasks — pass the sweep's store to
-    dedup across jobs); UCB/ECB footprints derive from the artifacts
-    those analyses already carry.
+    dedup across jobs) of binaries compiled once per process
+    (:func:`repro.batch.dag.compiled_program`); UCB/ECB footprints
+    derive from the artifacts those analyses already carry.
     """
     from ..batch.cachestore import ArtifactCache
+    from ..batch.dag import compiled_program
     from ..workloads.suite import analyze_workload, get_workload
 
     config = config or MachineConfig.default()
@@ -229,14 +231,10 @@ def analyze_taskset(taskset: TaskSet,
     hits0, misses0 = cache.hits, cache.misses
 
     details: Dict[str, TaskAnalysis] = {}
-    programs: Dict[str, Any] = {}
     footprints: Dict[str, TaskFootprint] = {}
     for task in taskset.tasks:
         workload = get_workload(task.workload)
-        program = programs.get(task.workload)
-        if program is None:
-            program = workload.compile()
-            programs[task.workload] = program
+        program, _ = compiled_program(workload)
         wcet = analyze_workload(workload, config=config,
                                 program=program, phase_cache=cache)
         footprint = footprints.get(task.workload)

@@ -14,7 +14,8 @@ WCET bounds in ``tests/golden_bounds.json``.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import Any, Dict, List, Sequence
 
 from ..cache.config import CacheConfig, MachineConfig
 from .response import analyze_taskset
@@ -40,13 +41,10 @@ def parse_geometry(text: str) -> CacheConfig:
                        line_size=line_size)
 
 
-def config_for(geometry: str,
-               base: Optional[MachineConfig] = None) -> MachineConfig:
-    """Machine config with both caches set to ``geometry``."""
-    from dataclasses import replace
-    base = base or MachineConfig.default()
+def config_for(geometry: str) -> MachineConfig:
+    """The default machine with both caches set to ``geometry``."""
     shape = parse_geometry(geometry)
-    return replace(base, icache=shape, dcache=shape)
+    return replace(MachineConfig.default(), icache=shape, dcache=shape)
 
 
 def cell_id(taskset: str, ordering: str, geometry: str) -> str:
@@ -56,9 +54,7 @@ def cell_id(taskset: str, ordering: str, geometry: str) -> str:
 def sweep_taskset(taskset: TaskSet,
                   orderings: Sequence[str] = ORDERINGS,
                   geometries: Sequence[str] = GEOMETRIES,
-                  cache=None,
-                  base_config: Optional[MachineConfig] = None
-                  ) -> List[Dict[str, Any]]:
+                  cache=None) -> List[Dict[str, Any]]:
     """One row per (ordering, geometry) cell, all against ``cache``."""
     from ..batch.cachestore import ArtifactCache
 
@@ -66,7 +62,7 @@ def sweep_taskset(taskset: TaskSet,
         cache = ArtifactCache()
     rows = []
     for geometry in geometries:
-        config = config_for(geometry, base_config)
+        config = config_for(geometry)
         for ordering in orderings:
             result = analyze_taskset(taskset.reordered(ordering),
                                      config=config, cache=cache)

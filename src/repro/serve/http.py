@@ -37,16 +37,25 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass        # keep the server quiet; clients see the JSON
 
-    def _respond(self, status: int, payload: dict) -> None:
+    def _respond(self, status: int, payload: dict,
+                 body_read: bool = False) -> None:
+        """Send one JSON reply.  A reply that leaves a declared request
+        body unread also closes the connection: the body's bytes would
+        otherwise be parsed as the next request."""
         body = json.dumps(payload, sort_keys=True).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if not body_read and (
+                self.headers.get("Content-Length", "0").strip() != "0"
+                or "Transfer-Encoding" in self.headers):
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _error(self, status: int, message: str) -> None:
-        self._respond(status, {"error": message})
+    def _error(self, status: int, message: str,
+               body_read: bool = False) -> None:
+        self._respond(status, {"error": message}, body_read)
 
     # -- Routes -------------------------------------------------------------
 
@@ -69,14 +78,16 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
         try:
             payload = json.loads(self.rfile.read(length))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            self._error(400, f"request body is not valid JSON: {exc}")
+            self._error(400, f"request body is not valid JSON: {exc}",
+                        body_read=True)
             return
         try:
             job_id = self.server.service.submit(payload)
         except ValidationError as exc:
-            self._error(400, str(exc))
+            self._error(400, str(exc), body_read=True)
             return
-        self._respond(202, {"id": job_id, "job": f"/jobs/{job_id}"})
+        self._respond(202, {"id": job_id, "job": f"/jobs/{job_id}"},
+                      body_read=True)
 
     def do_GET(self) -> None:
         path = self.path.rstrip("/")

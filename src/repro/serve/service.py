@@ -220,7 +220,6 @@ class AnalysisService:
 
     def __init__(self, cache_dir: Optional[str] = None,
                  workers: int = 2,
-                 salt: Optional[str] = None,
                  cache_limit_mb: Optional[float] = None,
                  memo_entries: Optional[int] =
                  ArtifactCache.MEMO_ENTRY_LIMIT,
@@ -230,8 +229,7 @@ class AnalysisService:
                  journal_dir: Optional[str] = None):
         limit_bytes = int(cache_limit_mb * 1024 * 1024) \
             if cache_limit_mb is not None else None
-        self.cache = ArtifactCache(cache_dir, salt=salt,
-                                   limit_bytes=limit_bytes,
+        self.cache = ArtifactCache(cache_dir, limit_bytes=limit_bytes,
                                    memo_entries=memo_entries,
                                    memo_bytes=memo_bytes)
         self.workers = workers

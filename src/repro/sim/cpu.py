@@ -278,8 +278,7 @@ class Simulator:
         return record
 
     def run_preemptive(self, preemptions, max_steps: int = 1_000_000,
-                       arguments: Optional[Dict[int, int]] = None,
-                       preemptor_max_steps: int = 1_000_000
+                       arguments: Optional[Dict[int, int]] = None
                        ) -> ExecutionResult:
         """Run until HALT, serving scheduled preemptions.
 
@@ -297,7 +296,7 @@ class Simulator:
         while not self.halted:
             while queue and queue[0][0] <= self.steps:
                 _, preemptor = queue.pop(0)
-                self.preempt(preemptor, max_steps=preemptor_max_steps)
+                self.preempt(preemptor)
             if self.steps >= max_steps:
                 raise OutOfFuel(f"no HALT within {max_steps} steps")
             self.step()

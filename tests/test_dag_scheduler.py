@@ -121,7 +121,7 @@ class TestDAGConstruction:
         assert dag.start() == [a]
         assert dag.complete(a) == [b]
         assert dag.complete(b) == []
-        assert dag.unfinished() == []
+        assert [node.state for node in dag.nodes] == ["done", "done"]
 
     def test_sweep_dag_is_acyclic(self):
         # add_node links a new node only to existing ones, so every
@@ -469,11 +469,12 @@ class TestFailureHandling:
         if dag_scheduler._pool_context() is None:
             pytest.skip("needs fork start method")
         monkeypatch.setenv(faults.ENV_FAULTS, "worker_kill:1.0")
+        monkeypatch.setattr(dag_scheduler, "MAX_POOL_REBUILDS", 1)
         faults.reset()
         try:
             jobs = expand_matrix("fibcall:full:additive,krisc5")
             clear_process_caches()
-            result = run_sweep(jobs, parallel=2, max_pool_rebuilds=1)
+            result = run_sweep(jobs, parallel=2)
         finally:
             faults.reset()
         assert result.errors == []
@@ -483,24 +484,41 @@ class TestFailureHandling:
         assert stats["degraded_tasks"] > 0
         assert stats["retries"] > 0
 
-    def test_error_past_retry_budget_reports_attempt_count(
-            self, monkeypatch):
-        # A deterministic task error burns the whole retry budget and
-        # the error row says how often the task was tried.  The kernel
-        # compiles (so the job plans) but its loop has no bound, so
-        # its path task raises on every attempt.
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_failing_task_fails_its_job_after_one_attempt(
+            self, parallel, monkeypatch, tmp_path):
+        # No task error is transient, so none is run again.  The kernel
+        # compiles (so the job plans) but its loop has no bound, so its
+        # path task raises; each path attempt appends to a file, which
+        # counts the attempts fork workers make too.
+        if parallel > 1 and dag_scheduler._pool_context() is None:
+            pytest.skip("needs fork start method")
+        from repro.wcet import ait
         from repro.workloads import suite
         unbounded = suite.Workload(
             name="unbounded-kernel", description="loop without a bound",
             category="x",
             source="int g; void main() { while (g >= 0) { g = g + 1; } }")
         monkeypatch.setitem(suite.WORKLOADS, unbounded.name, unbounded)
+        attempts = tmp_path / "path-attempts"
+        analyze_paths = ait.analyze_paths
+
+        def counted(*args, **kwargs):
+            with open(attempts, "a") as handle:
+                handle.write("path\n")
+            return analyze_paths(*args, **kwargs)
+
+        monkeypatch.setattr(ait, "analyze_paths", counted)
         jobs = [JobSpec(unbounded.name, "full", "additive")]
         clear_process_caches()
-        result = run_sweep(jobs, parallel=2, max_task_retries=1)
+        result = run_sweep(jobs, parallel=parallel)
+        assert attempts.read_text() == "path\n"
         assert len(result.errors) == 1
-        assert "task failed 2 times" in result.errors[0]
-        assert result.scheduler["retries"] == 1
+        error = result.rows[0]["error"]
+        assert error.startswith("upstream task unbounded-kernel/full:path "
+                                "failed: UnboundedLoopError: ")
+        assert error.endswith("; provide manual_bounds annotations")
+        assert result.scheduler["retries"] == 0
 
 
 # -- Abort -----------------------------------------------------------------------

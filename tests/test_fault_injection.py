@@ -194,27 +194,8 @@ class TestQuarantine:
 
 
 # ---------------------------------------------------------------------------
-# Scheduler retry / rebuild / degraded chaos.  All of these must end
-# with complete rows and golden bounds — faults cost work, not results.
-
-
-_REAL_POOL_TASK = dag_scheduler._pool_task
-_FLAKY_DIR = None
-
-
-def _flaky_pool_task(payload):
-    """Fails each distinct task template exactly once (cross-process
-    markers on disk), then delegates to the real task."""
-    template = payload[1]
-    marker = os.path.join(_FLAKY_DIR,
-                          re.sub(r"[^\w.-]", "_", template))
-    try:
-        with open(marker, "x"):
-            pass
-    except FileExistsError:
-        return _REAL_POOL_TASK(payload)
-    return {"pid": os.getpid(), "error": "injected flake",
-            "seconds": 0.0}
+# Scheduler rebuild / degraded chaos.  All of these must end with
+# complete rows and golden bounds — faults cost work, not results.
 
 
 class TestSchedulerChaos:
@@ -222,21 +203,6 @@ class TestSchedulerChaos:
     def _fork_only(self):
         if dag_scheduler._pool_context() is None:
             pytest.skip("needs fork start method")
-
-    def test_flaky_tasks_retry_to_golden_rows(self, monkeypatch,
-                                              tmp_path):
-        monkeypatch.setattr(sys.modules[__name__], "_FLAKY_DIR",
-                            str(tmp_path))
-        monkeypatch.setattr(dag_scheduler, "_pool_task",
-                            _flaky_pool_task)
-        jobs = expand_matrix("fibcall:full:additive,krisc5")
-        clear_process_caches()
-        result = run_sweep(jobs, parallel=2)
-        assert result.errors == []
-        assert compare_rows(result.rows, load_golden(GOLDEN)) == []
-        stats = result.scheduler
-        assert stats["retries"] > 0
-        assert stats["pool_rebuilds"] == 0
 
     def test_worker_kill_chaos_completes_with_golden_bounds(
             self, fault_env):

@@ -32,24 +32,31 @@ def sset(*states, cap=8):
     return PipeStateSet(states, cap)
 
 
+def windows(*pairs):
+    """A state with the given ``(register, delay)`` load-use windows;
+    pairs with a zero delay are left out."""
+    return PipeState(pending=tuple((reg, delay) for reg, delay in pairs
+                                   if delay))
+
+
 class TestPipeStateAlgebra:
     STATES = [
         PipeState(),
-        PipeState(mem_residue=3),
-        PipeState(pending=((2, 1),)),
-        PipeState(pending=((2, 2), (5, 1))),
-        PipeState(mem_residue=1, pending=((5, 3),)),
-        PipeState(mem_residue=7, pending=((2, 1), (3, 2))),
+        windows((9, 3)),
+        windows((2, 1)),
+        windows((2, 2), (5, 1)),
+        windows((5, 3), (9, 1)),
+        windows((2, 1), (3, 2), (9, 7)),
     ]
 
     def test_dominates_is_reflexive_and_componentwise(self):
         for state in self.STATES:
             assert state.dominates(state)
-        big = PipeState(mem_residue=5, pending=((2, 2), (5, 1)))
-        assert big.dominates(PipeState(pending=((2, 1),)))
-        assert big.dominates(PipeState(mem_residue=5))
-        assert not big.dominates(PipeState(mem_residue=6))
-        assert not big.dominates(PipeState(pending=((7, 1),)))
+        big = windows((2, 2), (5, 1), (9, 5))
+        assert big.dominates(windows((2, 1)))
+        assert big.dominates(windows((9, 5)))
+        assert not big.dominates(windows((9, 6)))
+        assert not big.dominates(windows((7, 1)))
 
     def test_merge_is_an_upper_bound(self):
         for a, b in itertools.combinations(self.STATES, 2):
@@ -74,24 +81,20 @@ class TestPipeStateAlgebra:
             assert sset(a).leq(joined)
             assert sset(b).leq(joined)
         # a ⊑ b  ⟹  a ⊔ b ≡ b
-        small, big = sset(PipeState(pending=((2, 1),))), \
-            sset(PipeState(mem_residue=2, pending=((2, 2),)))
+        small, big = sset(windows((2, 1))), sset(windows((2, 2), (9, 2)))
         assert small.leq(big)
         assert small.join(big) == big
 
     def test_dominated_states_are_pruned(self):
-        merged = sset(PipeState(mem_residue=4),
-                      PipeState(mem_residue=2),
-                      PipeState())
-        assert merged.states == (PipeState(mem_residue=4),)
+        merged = sset(windows((9, 4)), windows((9, 2)), PipeState())
+        assert merged.states == (windows((9, 4)),)
 
     def test_incomparable_states_are_kept(self):
-        kept = sset(PipeState(mem_residue=4),
-                    PipeState(pending=((3, 1),)))
+        kept = sset(windows((9, 4)), windows((3, 1)))
         assert len(kept) == 2
 
     def test_cap_merges_deterministically(self):
-        states = [PipeState(mem_residue=r, pending=((reg, d),))
+        states = [windows((reg, d), (9, r))
                   for r, reg, d in [(0, 2, 1), (9, 3, 2), (1, 2, 2),
                                     (5, 4, 1), (2, 5, 3), (8, 6, 1)]]
         capped = PipeStateSet(states, cap=3)
@@ -101,7 +104,7 @@ class TestPipeStateAlgebra:
             assert PipeStateSet(permutation, cap=3) == capped
 
     def test_capped_set_covers_the_uncapped_one(self):
-        states = [PipeState(mem_residue=r, pending=((2, d),))
+        states = [windows((2, d), (9, r))
                   for r, d in [(0, 3), (1, 2), (4, 1), (6, 2), (2, 4)]]
         uncapped = PipeStateSet(states, cap=99)
         for cap in (1, 2, 3):
@@ -196,7 +199,6 @@ class TestStageOccupancyTransfer:
     def test_block_final_load_exports_pending_state(self):
         result = walk("main:\n MOVI R4, #0\n LDR R2, [R1]\n HALT\n",
                       data=[(1, AH)])
-        assert result.exit_state.mem_residue == 0
         assert dict(result.exit_state.pending).get(2) \
             == CONFIG.load_use_stall
 
@@ -227,8 +229,8 @@ class TestStageOccupancyTransfer:
     def test_walker_is_monotone_in_the_entry_state(self):
         source = "main:\n LDR R2, [R1]\n ADD R3, R2, R2\n" \
                  " STR R3, [R1, #4]\n HALT\n"
-        small = PipeState(pending=((2, 1),))
-        large = PipeState(mem_residue=6, pending=((2, 3), (4, 1)))
+        small = windows((2, 1))
+        large = windows((1, 6), (2, 3), (4, 1))
         assert large.dominates(small)
         walked_small = walk(source, state=small, data=[(0, NC), (2, NC)])
         walked_large = walk(source, state=large, data=[(0, NC), (2, NC)])
@@ -237,10 +239,6 @@ class TestStageOccupancyTransfer:
 
 
 class TestStateValidation:
-    def test_negative_residue_rejected(self):
-        with pytest.raises(ValueError):
-            PipeState(mem_residue=-1)
-
     def test_nonpositive_delay_rejected(self):
         with pytest.raises(ValueError):
             PipeState(pending=((2, 0),))

@@ -661,3 +661,26 @@ class TestSweep:
             for ordering in ORDERINGS:
                 for geometry in GEOMETRIES:
                     assert f"{name}|{ordering}|{geometry}" in golden
+
+    def test_sweep_compiles_each_workload_once(self, monkeypatch):
+        # A process compiles each workload once, however many cells and
+        # task sets bind it: one sweep of the example task sets
+        # compiles their five distinct workloads, not one per cell.
+        from repro.batch import clear_process_caches
+        from repro.workloads import suite
+        compiled = []
+        compile_program = suite.compile_program
+
+        def counted(source, *args, **kwargs):
+            compiled.append(source)
+            return compile_program(source, *args, **kwargs)
+
+        monkeypatch.setattr(suite, "compile_program", counted)
+        clear_process_caches()
+        cache = ArtifactCache()
+        for taskset in example_tasksets():
+            sweep_taskset(taskset, cache=cache)
+        workloads = {task.workload for taskset in example_tasksets()
+                     for task in taskset.tasks}
+        assert len(workloads) == 5
+        assert len(compiled) == len(set(compiled)) == 5

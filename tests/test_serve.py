@@ -2,6 +2,7 @@
 and the function-grained slice keys that make re-analysis incremental."""
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -415,7 +416,45 @@ def http_status(url, path, method="GET", body=None):
         return exc.code
 
 
+def raw_exchange(url, data):
+    """Send ``data`` on one connection; return every byte the server
+    sends back until it closes the connection."""
+    host, port = url[len("http://"):].split(":")
+    received = b""
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(data)
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:    # closed with bytes unread
+                break
+            if not chunk:
+                break
+            received += chunk
+    return received
+
+
+#: A complete request, sent as the body of a request the server rejects
+#: without reading its body.
+SMUGGLED = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
 class TestHTTP:
+    @pytest.mark.parametrize("path, length, status", [
+        ("/analyze", 5 * 1024 * 1024, 413),
+        ("/nosuch", len(SMUGGLED), 404),
+    ])
+    def test_unread_body_is_not_parsed_as_a_request(self, server, path,
+                                                    length, status):
+        # The body must not be answered as the next request: the error
+        # reply closes the connection instead.
+        head = (f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {length}\r\n\r\n").encode()
+        reply = raw_exchange(server, head + SMUGGLED)
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert b"\r\nConnection: close\r\n" in reply
+
     def test_eight_concurrent_clients_bit_identical(self, server):
         expected = cold_bounds(BASE)
         records = [None] * 8
