@@ -2,14 +2,14 @@
 """Fixpoint-kernel performance harness (CI perf guard).
 
 Runs the E7 scaling family (a pipeline of N filter-stage functions,
-each with its own loop) through the full WCET analysis with both
-fixpoint strategies, asserts the transfer-count budget of the shared
-WTO kernel against the legacy FIFO reference, and appends the run to
-``BENCH_fixpoint.json`` so later PRs can spot regressions in the
-trajectory.  Each point also records the per-phase wall clock of the
-analysis and the expanded-graph size (contexts/nodes/edges) under
-every context policy, so context-explosion regressions are visible
-across PRs, plus a per-timing-model row (``additive`` vs ``krisc5``:
+each with its own loop) through the full WCET analysis, asserts the
+value-analysis transfer count of every point against an absolute
+budget, and appends the run to ``BENCH_fixpoint.json`` so later PRs
+can spot regressions in the trajectory.  Each point also records the
+per-phase wall clock of the analysis and the expanded-graph size
+(contexts/nodes/edges) under every context policy, so
+context-explosion regressions are visible across PRs, plus a
+per-timing-model row (``additive`` vs ``krisc5``:
 WCET bound and phase timings) with two bound guards: krisc5 must
 never exceed additive on the same point, and neither model's bound
 may regress past the last recorded run.
@@ -39,7 +39,6 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from test_e7_scaling import _generate_program      # noqa: E402
 
-from repro.analysis import analyze_values          # noqa: E402
 from repro.analysis.state import (AbstractMemory,  # noqa: E402
                                   AbstractState)
 from repro.batch import (clear_process_caches,         # noqa: E402
@@ -82,10 +81,10 @@ DOMAIN_IMPL_SPEEDUP_GUARD = 2.0
 #: (context-explosion regression guard).
 POLICIES = (FullCallString(), KLimitedCallString(2), VIVU(peel=1))
 
-#: Perf budget: on the largest E7 program the WTO kernel must need at
-#: most half the block transfers of the FIFO reference (the headline
-#: acceptance criterion of the kernel PR), and never regress past this.
-TRANSFER_BUDGET_RATIO = 0.5
+#: Value-analysis transfer budget per E7 point (stages -> transfers):
+#: the counts the WTO kernel needs today, with no headroom.  Counts are
+#: deterministic, so any growth is an iteration-strategy regression.
+E7_MAX_VALUE_TRANSFERS = {1: 22, 2: 32, 4: 52, 8: 92, 16: 172}
 
 #: Batch-engine guards.  Full mode sweeps the whole 19 x 3 x 2 matrix;
 #: quick (CI smoke) mode a 6-workload slice.  A warm-cache rerun must
@@ -134,9 +133,6 @@ def measure_point(stages: int, repeat: int) -> Dict:
             "expand_seconds": round(time.perf_counter() - start, 4),
         }
 
-    fifo = analyze_values(graph, strategy="fifo")
-    wto = analyze_values(graph, strategy="wto")
-
     state_copies_before = AbstractState.copies
     state_mat_before = AbstractState.materializations
     memory_copies_before = AbstractMemory.copies
@@ -176,9 +172,7 @@ def measure_point(stages: int, repeat: int) -> Dict:
         "nodes": graph.node_count(),
         "edges": graph.edge_count(),
         "wcet_cycles": result.wcet_cycles,
-        "states_identical": fifo.fixpoint.states_equal(wto.fixpoint),
-        "fifo": dict(vars(fifo.fixpoint.stats)),
-        "wto": dict(vars(wto.fixpoint.stats)),
+        "value_stats": dict(vars(result.solver_stats["value"])),
         "cache_stats": {
             name: dict(vars(stats))
             for name, stats in result.solver_stats.items()
@@ -362,8 +356,8 @@ def main(argv=None) -> int:
     repeat = 1 if args.quick else args.repeat
 
     points = []
-    header = (f"{'stages':>6} {'nodes':>6} {'fifo xfer':>10} "
-              f"{'wto xfer':>9} {'ratio':>6} {'widen':>6} "
+    header = (f"{'stages':>6} {'nodes':>6} "
+              f"{'xfer':>6} {'budget':>6} {'widen':>6} "
               f"{'value ms':>9} {'total ms':>9} "
               f"{'wcet add':>9} {'wcet k5':>9}")
     print(header)
@@ -371,11 +365,11 @@ def main(argv=None) -> int:
     for stages in stage_list:
         point = measure_point(stages, repeat)
         points.append(point)
-        ratio = point["wto"]["transfers"] / point["fifo"]["transfers"]
+        value = point["value_stats"]
         print(f"{stages:>6} {point['nodes']:>6} "
-              f"{point['fifo']['transfers']:>10} "
-              f"{point['wto']['transfers']:>9} {ratio:>6.2f} "
-              f"{point['wto']['widenings']:>6} "
+              f"{value['transfers']:>6} "
+              f"{E7_MAX_VALUE_TRANSFERS[stages]:>6} "
+              f"{value['widenings']:>6} "
               f"{point['value_phase_seconds'] * 1000:>9.1f} "
               f"{point['analyze_wcet_seconds'] * 1000:>9.1f} "
               f"{point['models']['additive']['wcet_cycles']:>9} "
@@ -448,22 +442,15 @@ def main(argv=None) -> int:
             f"faster than python on combined value+icache "
             f"(required {DOMAIN_IMPL_SPEEDUP_GUARD}x)")
 
-    largest = points[len(points) - 2]     # largest E7 point
-    ratio = largest["wto"]["transfers"] / largest["fifo"]["transfers"]
-    if ratio > TRANSFER_BUDGET_RATIO:
-        failures.append(
-            f"transfer budget exceeded on {largest['stages']} stages: "
-            f"wto/fifo = {ratio:.2f} > {TRANSFER_BUDGET_RATIO}")
     for point in points:
         if point.get("kind") == "large":
             continue                  # guarded by its budgets above
-        # Precision guard: the strategies must land on identical entry
-        # states (widening *counts* legitimately differ with iteration
-        # order, so they are recorded but not asserted).
-        if not point["states_identical"]:
+        transfers = point["value_stats"]["transfers"]
+        budget = E7_MAX_VALUE_TRANSFERS[point["stages"]]
+        if transfers > budget:
             failures.append(
-                f"fixpoint states diverged between strategies at "
-                f"{point['stages']} stages")
+                f"value phase took {transfers} transfers at "
+                f"{point['stages']} stages > budget {budget}")
         # Context-explosion guard: k-limiting must never expand the
         # graph beyond the full-call-string baseline.
         sizes = point["contexts_by_policy"]
@@ -509,7 +496,7 @@ def main(argv=None) -> int:
     run = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": platform.python_version(),
-        "transfer_budget_ratio": TRANSFER_BUDGET_RATIO,
+        "value_transfer_budgets": E7_MAX_VALUE_TRANSFERS,
         "quick": args.quick,
         "points": points,
         "batch": batch,
@@ -525,8 +512,7 @@ def main(argv=None) -> int:
         for failure in failures:
             print("FAIL:", failure, file=sys.stderr)
         return 1
-    print("perf budget OK "
-          f"(wto/fifo transfer ratio {ratio:.2f} on largest program)")
+    print("perf budget OK")
     return 0
 
 

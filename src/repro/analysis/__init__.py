@@ -13,9 +13,9 @@ from .interval import Interval
 from .strided import StridedInterval
 from .loopbounds import (LoopBound, LoopBoundAnalysis, analyze_loop_bounds)
 from .fixpoint import (FixpointKernel, FixpointSemantics, FixpointStats,
-                       WeakTopologicalOrder, WTOComponent, WTOVertex,
-                       weak_topological_order)
-from .solver import FixpointResult, FixpointSolver, collect_thresholds
+                       Violation, WeakTopologicalOrder, WTOComponent,
+                       WTOVertex, check_postfixpoint, weak_topological_order)
+from .solver import FixpointResult, collect_thresholds, solve_values
 from .state import AbstractMemory, AbstractState, FlagsInfo
 from .transfer import (compile_block, evaluate_condition,
                        refine_by_condition, transfer_block,
@@ -29,9 +29,9 @@ __all__ = [
     "Interval", "StridedInterval",
     "LoopBound", "LoopBoundAnalysis", "analyze_loop_bounds",
     "FixpointKernel", "FixpointSemantics", "FixpointStats",
-    "WeakTopologicalOrder", "WTOComponent", "WTOVertex",
-    "weak_topological_order",
-    "FixpointResult", "FixpointSolver", "collect_thresholds",
+    "Violation", "WeakTopologicalOrder", "WTOComponent", "WTOVertex",
+    "check_postfixpoint", "weak_topological_order",
+    "FixpointResult", "collect_thresholds", "solve_values",
     "AbstractMemory", "AbstractState", "FlagsInfo",
     "compile_block", "evaluate_condition", "refine_by_condition",
     "transfer_block", "transfer_instruction",

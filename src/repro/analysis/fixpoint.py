@@ -1,9 +1,10 @@
 """Shared WTO fixpoint kernel for the whole analysis pipeline.
 
-Both value analysis (:mod:`repro.analysis.solver`) and cache analysis
-(:mod:`repro.cache.analysis`) are chaotic-iteration fixpoints over the
-same expanded task graph.  This module provides the one engine both run
-on:
+Value analysis (:mod:`repro.analysis.solver`), cache analysis
+(:mod:`repro.cache.analysis`) and the krisc5 pipeline-state analysis
+(:mod:`repro.pipeline.analysis`) are chaotic-iteration fixpoints over
+the same expanded task graph.  This module provides the one engine they
+run on:
 
 * **Weak topological ordering** (Bourdoncle 1993): a hierarchical
   ordering of the graph whose components are the cyclic regions.  On
@@ -12,9 +13,8 @@ on:
   than through its head still ends up inside a component).
 * **Recursive iteration strategy**: inner components are stabilised
   before the enclosing component is re-entered, and nodes inside a
-  component are visited in (weak) topological order.  This eliminates
-  the churn of FIFO worklists, which keep re-transferring downstream
-  nodes while an upstream loop is still growing.
+  component are visited in (weak) topological order, so no downstream
+  node is re-transferred while an upstream loop is still growing.
 * **Widening only at component heads** — the minimal set of widening
   points that guarantees termination.
 * **Out-state caching**: the transfer of a node is recomputed only when
@@ -28,6 +28,11 @@ states, and the toy lattices used in its unit tests alike.  All work is
 instrumented through :class:`FixpointStats`, which the benchmark
 harness (``benchmarks/run_perf.py``) records into
 ``BENCH_fixpoint.json`` as a regression guard.
+
+:func:`check_postfixpoint` checks a kernel's result without replaying
+the iteration that produced it: an entry map is sound when it covers
+the task entry state and every state its own transfers send along a
+feasible edge (Cousot & Cousot's post-fixpoint condition).
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
-#: Safety valve on total transfer evaluations (shared with the value
-#: analysis; cache fixpoints are far smaller).
+#: Safety valve on the transfer evaluations of one kernel run (value
+#: analysis runs the most; cache fixpoints are far smaller).
 MAX_TRANSFERS = 2_000_000
 
 
@@ -49,9 +54,8 @@ class FixpointStats:
     """Work counters for one fixpoint run.
 
     ``transfers`` counts *every* transfer-function evaluation, including
-    the ones spent in narrowing passes — unlike the historical FIFO
-    solver's counter, which silently ignored narrowing.  This makes the
-    number an honest, reproducible cost measure usable as a CI guard.
+    the ones spent in narrowing passes, so the number is a reproducible
+    cost measure usable as a CI guard.
     Like every work-counter record, its fields are exactly what it
     reports: rows, ``run_perf.py`` and the text report read it as
     ``vars(stats)``.
@@ -239,9 +243,8 @@ class FixpointSemantics:
     """What the kernel needs to know about an abstract domain.
 
     Subclasses override the hooks; ``transfer`` must return a *fresh*
-    state (it may not mutate its input — both solvers already obey this
-    because their transfer functions copy at block boundaries, which is
-    O(1) under copy-on-write states).
+    state (it may not mutate its input — the value and cache transfers
+    copy at block boundaries, which is O(1) under copy-on-write states).
     """
 
     #: Whether widening is required for termination (infinite-height
@@ -304,14 +307,12 @@ class FixpointKernel:
                  semantics: FixpointSemantics, *,
                  widen_delay: int = 0,
                  sort_key: Optional[Callable[[Any], Any]] = None,
-                 max_transfers: int = MAX_TRANSFERS,
                  predecessor_edges: Optional[
                      Callable[[Any], Iterable[Any]]] = None,
                  edge_source: Optional[Callable[[Any], Any]] = None):
         self.entry = entry
         self.semantics = semantics
         self.widen_delay = widen_delay
-        self.max_transfers = max_transfers
         self._edge_target = edge_target
         self._edge_source = edge_source
         self._predecessor_edges = predecessor_edges
@@ -361,7 +362,7 @@ class FixpointKernel:
             return cached[1]
         out = self.semantics.transfer(node, entry)
         self.stats.transfers += 1
-        if self.stats.transfers > self.max_transfers:
+        if self.stats.transfers > MAX_TRANSFERS:
             raise RuntimeError("fixpoint exceeded transfer budget")
         self._out_cache[node] = (version, out)
         return out
@@ -484,3 +485,48 @@ class FixpointKernel:
                 break
             effective += 1
         return effective
+
+
+# -- Post-fixpoint check -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One obligation an entry map fails: the state reaching ``node``
+    along ``edge`` (``None`` for the task entry state) is not covered
+    by the map's entry state of ``node``."""
+
+    node: Any
+    edge: Optional[Any] = None
+
+
+def check_postfixpoint(semantics: FixpointSemantics, graph: Any,
+                       entry_state: Any,
+                       entries: Dict[Any, Any]) -> List[Violation]:
+    """Every obligation ``entries`` fails as an inductive invariant of
+    ``semantics`` over ``graph`` (a :class:`~repro.cfg.expand.TaskGraph`);
+    an empty list means the map is sound.
+
+    The obligations are ``entry_state ⊑ entries[graph.entry]`` and, for
+    each node ``n`` the map reaches and each edge ``n -> m`` that stays
+    feasible, ``edge_state(transfer(n, entries[n])) ⊑ entries[m]``.
+    They hold whatever strategy, widening, narrowing or caching
+    produced the map, so none of it is replayed: the check costs one
+    transfer per reached node and one ``leq`` per feasible edge.
+    """
+    violations: List[Violation] = []
+    held = entries.get(graph.entry)
+    if held is None or not semantics.leq(entry_state, held):
+        violations.append(Violation(graph.entry))
+    for node, state in entries.items():
+        if semantics.is_bottom(state):
+            continue
+        out = semantics.transfer(node, state)
+        for edge in graph.successors(node):
+            flowing = semantics.edge_state(edge, out)
+            if flowing is None or semantics.is_bottom(flowing):
+                continue
+            held = entries.get(edge.target)
+            if held is None or not semantics.leq(flowing, held):
+                violations.append(Violation(edge.target, edge))
+    return violations

@@ -23,8 +23,7 @@ from ..domainimpl import value_effective_impl
 from ..isa.instructions import Instruction, Opcode
 from .domain import AbstractValue
 from .interval import Interval
-from .solver import (DEFAULT_NARROWING_PASSES, DEFAULT_WIDEN_DELAY,
-                     FixpointResult, FixpointSolver)
+from .solver import DEFAULT_NARROWING_PASSES, FixpointResult, solve_values
 from .state import AbstractState
 from .transfer import (evaluate_condition, refine_by_condition,
                        transfer_instruction)
@@ -181,10 +180,8 @@ def analyze_values(graph: TaskGraph,
                    domain: Type[AbstractValue] = Interval,
                    register_ranges: Optional[
                        Dict[int, Tuple[int, int]]] = None,
-                   widen_delay: int = DEFAULT_WIDEN_DELAY,
                    narrowing_passes: int = DEFAULT_NARROWING_PASSES,
                    use_widening_thresholds: bool = True,
-                   strategy: str = "wto",
                    memory_ranges: Optional[
                        Dict[int, Tuple[int, int]]] = None,
                    domain_impl: Optional[str] = None,
@@ -196,11 +193,13 @@ def analyze_values(graph: TaskGraph,
     input registers at task entry; ``memory_ranges`` constrains memory
     words the environment writes before the task runs (input buffers),
     overriding the values the binary image happens to contain.
-    ``strategy`` selects the fixpoint engine: the shared WTO kernel
-    (default) or the legacy FIFO worklist (kept for differential
-    testing and benchmarking).  ``domain_impl`` selects the domain
-    implementation (:func:`repro.domainimpl.value_effective_impl`:
-    domains other than intervals always run the python one).
+    The fixpoint is :func:`~repro.analysis.solver.solve_values` on the
+    shared WTO kernel; ``narrowing_passes`` and
+    ``use_widening_thresholds`` are the D1 ablation knobs.
+    ``domain_impl`` selects the domain implementation
+    (:func:`repro.domainimpl.value_effective_impl`: domains other than
+    intervals always run the python one, and the numpy one runs every
+    block as its compiled closure).
     ``program`` supplies the binary whose image seeds the entry state;
     it defaults to the graph's own program but MUST be passed when the
     graph may come from a cache keyed on a code slice
@@ -216,9 +215,7 @@ def analyze_values(graph: TaskGraph,
     entry_state = AbstractState.entry_state(
         domain, program.memory_map.stack_base, program.initial_memory(),
         register_ranges, memory_ranges, memory=memory)
-    solver = FixpointSolver(graph, widen_delay, narrowing_passes,
-                            use_widening_thresholds, strategy=strategy,
-                            compiled_transfer=(impl == "numpy"
-                                               and strategy == "wto"))
-    fixpoint = solver.solve(entry_state)
+    fixpoint = solve_values(graph, entry_state, narrowing_passes,
+                            use_widening_thresholds,
+                            compiled_transfer=(impl == "numpy"))
     return ValueAnalysisResult(graph, fixpoint, domain)

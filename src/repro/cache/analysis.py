@@ -101,9 +101,8 @@ class CacheFixpoint:
     """Generic must/may/persistence fixpoint over the task graph.
 
     Runs on the shared WTO kernel (:mod:`repro.analysis.fixpoint`) —
-    the same engine as value analysis — instead of a private FIFO
-    worklist; ``stats`` carries the kernel's work counters after
-    :meth:`solve`.
+    the same engine as value analysis; ``stats`` carries the kernel's
+    work counters after :meth:`solve`.
     """
 
     def __init__(self, graph: TaskGraph, config: CacheConfig,
@@ -141,13 +140,15 @@ class CacheFixpoint:
         kernel = FixpointKernel(
             graph.entry, graph.successors, lambda e: e.target,
             _CacheSemantics(self), sort_key=TaskGraph.node_key)
-        if self.impl == "numpy":
-            cold = VectorTripleCacheState(self._index)
-        else:
-            cold = TripleCacheState(self.config)
-        states = kernel.solve(cold)
+        states = kernel.solve(self.cold_state())
         self.stats = kernel.stats
         return states
+
+    def cold_state(self):
+        """The task-entry state: an empty cache."""
+        if self.impl == "numpy":
+            return VectorTripleCacheState(self._index)
+        return TripleCacheState(self.config)
 
     def transfer(self, state, node: NodeId):
         if self.impl == "numpy":

@@ -1,4 +1,12 @@
-"""Recursive-descent parser for mini-C."""
+"""Recursive-descent parser for mini-C.
+
+The parser, and the code generator after it, recurse once per level of
+statement and expression nesting, so nesting deeper than
+:data:`MAX_NESTING` is a :class:`ParseError` rather than a Python
+``RecursionError``.  A chain of binary operators counts one level per
+operator: it parses into a left-deep tree, which codegen walks
+recursively.
+"""
 
 from __future__ import annotations
 
@@ -20,6 +28,9 @@ class ParseError(ValueError):
         return (type(self), (self.message, self.line))
 
 
+#: Deepest statement or expression nesting a program may use.
+MAX_NESTING = 100
+
 #: Binary operator precedence (higher binds tighter).
 _PRECEDENCE = {
     "||": 1,
@@ -39,6 +50,7 @@ class Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.position = 0
+        self.depth = 0
 
     # -- Token helpers -------------------------------------------------------
 
@@ -66,6 +78,13 @@ class Parser:
                 f"expected {kind!r}, found {self.current.text!r}",
                 self.current.line)
         return self.advance()
+
+    def _nest(self) -> None:
+        """Go one nesting level deeper; the caller restores ``depth``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             self.current.line)
 
     # -- Top level ---------------------------------------------------------------
 
@@ -144,10 +163,12 @@ class Parser:
 
     def _block(self) -> List[ast.Stmt]:
         self.expect("{")
+        self._nest()
         statements: List[ast.Stmt] = []
         while not self.check("}"):
             statements.append(self._statement())
         self.expect("}")
+        self.depth -= 1
         return statements
 
     def _statement(self) -> ast.Stmt:
@@ -275,18 +296,25 @@ class Parser:
     def _body_or_single(self) -> List[ast.Stmt]:
         if self.check("{"):
             return self._block()
-        return [self._statement()]
+        self._nest()
+        body = [self._statement()]
+        self.depth -= 1
+        return body
 
     # -- Expressions -------------------------------------------------------------------
 
     def _expression(self, min_precedence: int = 1) -> ast.Expr:
+        depth = self.depth
+        self._nest()
         left = self._unary()
         while True:
             op = self.current.kind
             precedence = _PRECEDENCE.get(op)
             if precedence is None or precedence < min_precedence:
+                self.depth = depth
                 return left
             token = self.advance()
+            self._nest()    # the left-deep tree grows one level
             right = self._expression(precedence + 1)
             left = ast.Binary(line=token.line, op=op, left=left,
                               right=right)
@@ -295,8 +323,11 @@ class Parser:
         token = self.current
         if token.kind in ("-", "!", "~"):
             self.advance()
+            self._nest()
+            operand = self._unary()
+            self.depth -= 1
             return ast.Unary(line=token.line, op=token.kind,
-                             operand=self._unary())
+                             operand=operand)
         return self._primary()
 
     def _primary(self) -> ast.Expr:

@@ -217,6 +217,7 @@ class Krisc5PipelineAnalysis:
         self.icache = icache
         self.dcache = dcache
         self.state_stats = StateSetStats()
+        self.fixpoint_stats: Optional[FixpointStats] = None
         self._data_outcomes: Dict[
             NodeId, List[Tuple[int, Classification]]] = {}
         for node in graph.nodes():
@@ -262,15 +263,23 @@ class Krisc5PipelineAnalysis:
                 self._walk(node, state).elapsed for state in states)
         return costs
 
-    def analyze(self) -> TimingModel:
+    def solve(self) -> Dict[NodeId, PipeStateSet]:
+        """Entry state set per node, starting from an empty pipeline;
+        ``fixpoint_stats`` carries the kernel's work counters after."""
         graph = self.graph
-        cap = self.config.pipeline_state_cap
         kernel = FixpointKernel(
             graph.entry, graph.successors, lambda e: e.target,
             _PipelineSemantics(self), sort_key=TaskGraph.node_key)
-        entries = kernel.solve(PipeStateSet.initial(cap))
+        entries = kernel.solve(
+            PipeStateSet.initial(self.config.pipeline_state_cap))
+        self.fixpoint_stats = kernel.stats
+        return entries
 
-        fallback = PipeStateSet.initial(cap)
+    def analyze(self) -> TimingModel:
+        graph = self.graph
+        entries = self.solve()
+
+        fallback = PipeStateSet.initial(self.config.pipeline_state_cap)
         blocks: Dict[NodeId, BlockTiming] = {}
         edges: Dict[Tuple[NodeId, NodeId, EdgeKind], int] = {}
         for node in graph.nodes():
@@ -311,7 +320,7 @@ class Krisc5PipelineAnalysis:
                     key = (edge.source, edge.target, edge.kind)
                     edges[key] = edges.get(key, 0) + penalty
         return TimingModel(blocks, edges, model="krisc5",
-                           fixpoint_stats=kernel.stats,
+                           fixpoint_stats=self.fixpoint_stats,
                            state_stats=self.state_stats)
 
 

@@ -19,10 +19,10 @@ Task sets are plain JSON::
       ]
     }
 
-Preemption eligibility follows the OSEK threshold rule shared with the
-stack analysis: task *j* can preempt task *i* iff ``j.priority >
-i.effective_threshold`` (thresholds default to the task's own
-priority, i.e. fully preemptive scheduling).
+Preemption eligibility is the stack analysis' OSEK threshold rule,
+:func:`repro.stack.osek.can_preempt`: task *j* can preempt task *i* iff
+``j.priority > i.effective_threshold`` (thresholds default to the
+task's own priority, i.e. fully preemptive scheduling).
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
+
+from ..stack.osek import can_preempt
 
 
 @dataclass(frozen=True)
@@ -67,11 +69,6 @@ class RTTask:
     def effective_deadline(self) -> int:
         return self.deadline if self.deadline is not None \
             else self.period
-
-
-def can_preempt(preemptor: RTTask, victim: RTTask) -> bool:
-    """OSEK threshold rule, identical to the stack analysis'."""
-    return preemptor.priority > victim.effective_threshold
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ a restarted ``repro serve --journal DIR`` answers ``GET /jobs/<id>``
 for every job that finished before the crash, and marks jobs the crash
 caught mid-flight ``interrupted`` instead of silently forgetting them.
 Only the final line of the file can ever be torn (appends are atomic
-up to the fsync); unparsable lines are skipped, not fatal.
+up to the fsync); unparsable lines are skipped, not fatal.  Opening the
+journal ends a torn final line, so the next record starts a line of
+its own instead of being glued onto the torn bytes and lost with them.
 """
 
 from __future__ import annotations
@@ -43,6 +45,12 @@ class JobJournal:
         self.directory = directory
         self.path = os.path.join(directory, self.FILENAME)
         self._lock = threading.Lock()
+        with open(self.path, "ab+") as raw:
+            # A crash mid-append leaves a torn final line: end it.
+            if raw.seek(0, os.SEEK_END):
+                raw.seek(-1, os.SEEK_END)
+                if raw.read(1) != b"\n":
+                    raw.write(b"\n")
         self._handle = open(self.path, "a", encoding="utf-8")
 
     def append(self, record: dict) -> None:

@@ -12,7 +12,8 @@ The model supports OSEK's internal resources via *preemption
 thresholds*: task ``U`` can preempt task ``T`` iff
 ``U.priority > T.threshold`` (``threshold`` defaults to the task's own
 priority; a group of cooperating tasks shares a threshold).  ISRs are
-ordinary high-priority entries.
+ordinary high-priority entries.  :func:`can_preempt` states the rule
+once; the response-time analysis (:mod:`repro.rta`) uses it too.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ class TaskSpec:
         if self.threshold is not None and self.threshold < self.priority:
             raise ValueError(
                 f"threshold of {self.name} below its priority")
+
+
+def can_preempt(preemptor, victim) -> bool:
+    """The OSEK threshold rule: ``preemptor`` can preempt ``victim``
+    iff its priority exceeds the victim's effective threshold.  Any
+    task shape with ``priority`` and ``effective_threshold`` works
+    (:class:`TaskSpec`, :class:`repro.rta.RTTask`)."""
+    return preemptor.priority > victim.effective_threshold
 
 
 @dataclass
@@ -89,8 +98,7 @@ class OSEKStackAnalysis:
         for i, task in enumerate(self.tasks):
             best_total[i] = task.stack_bound
             for j in range(i):
-                lower = self.tasks[j]
-                if task.priority > lower.effective_threshold:
+                if can_preempt(task, self.tasks[j]):
                     candidate = best_total[j] + task.stack_bound \
                         + self.kernel_overhead
                     if candidate > best_total[i]:
@@ -112,7 +120,7 @@ class OSEKStackAnalysis:
         # savings — for threshold-grouped sets where nothing nests.
         preemptors = sum(
             1 for task in self.tasks
-            if any(task.priority > other.effective_threshold
+            if any(can_preempt(task, other)
                    for other in self.tasks if other is not task))
         naive = sum(task.stack_bound for task in self.tasks) + \
             self.kernel_overhead * min(preemptors, len(self.tasks) - 1)

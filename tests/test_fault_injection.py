@@ -363,6 +363,23 @@ class TestJournal:
         assert "job-2" not in records
         assert last_id == 1
 
+    def test_record_after_torn_line_survives_reopen(self, tmp_path):
+        journal = JobJournal(str(tmp_path))
+        journal.append({"id": "job-1", "status": "done"})
+        journal.close()
+        with open(journal.path, "a") as handle:
+            handle.write('{"id": "job-2", "status": "pen')   # torn
+        reopened = JobJournal(str(tmp_path))
+        reopened.append({"id": "job-3", "status": "pending",
+                         "label": "edit"})
+        reopened.append({"id": "job-3", "status": "done"})
+        reopened.close()
+        records, last_id = JobJournal(str(tmp_path)).replay()
+        assert records["job-3"] == {"id": "job-3", "status": "done",
+                                    "label": "edit"}
+        assert "job-2" not in records
+        assert last_id == 3
+
     def test_nonterminal_jobs_replay_as_interrupted(self, tmp_path):
         journal = JobJournal(str(tmp_path))
         journal.append({"id": "job-1", "status": "pending"})

@@ -2,21 +2,17 @@
 
 Covers the weak topological ordering itself (including irreducible and
 nested-loop graphs the natural-loop machinery cannot express), widening
-placement at component heads, determinism of the instrumentation
-counters, and old-solver vs new-kernel equivalence on the E2/E8
-program families.
+placement at component heads, and determinism of the instrumentation
+counters.  That the kernel's results are sound is checked by
+``tests/test_postfixpoint.py``.
 """
-
-import pytest
 
 from repro.analysis import analyze_values
 from repro.analysis.fixpoint import (FixpointKernel, FixpointSemantics,
                                      WTOComponent, WTOVertex,
                                      weak_topological_order)
 from repro.cfg import build_cfg, expand_task
-from repro.isa import assemble
 from repro.lang import compile_program
-from repro.workloads import get_workload
 
 
 # -- Toy lattice for graph-shape tests ----------------------------------------
@@ -212,58 +208,6 @@ class TestKernelIteration:
         states = kernel.solve((0, 0))
         assert states["x"][1] == float("inf")
         assert kernel.stats.component_iterations >= 4
-
-
-# -- Equivalence with the legacy FIFO solver ----------------------------------
-
-# The E8 loop-pattern corpus (benchmarks/test_e8_loop_bounds.py).
-E8_SOURCES = {
-    "count_up": """
-int r; void main() { int i; int n = 0;
-for (i = 0; i < 40; i = i + 1) { n = n + i; } r = n; }""",
-    "count_down": """
-int r; void main() { int i = 40; int n = 0;
-while (i > 0) { n = n + i; i = i - 1; } r = n; }""",
-    "stepped": """
-int r; void main() { int i; int n = 0;
-for (i = 0; i < 40; i = i + 3) { n = n + 1; } r = n; }""",
-    "doubling": """
-int r; void main() { int i = 1; int n = 0;
-while (i < 256) { i = i << 1; n = n + 1; } r = n; }""",
-    "nested": """
-int r; void main() { int i; int j; int n = 0;
-for (i = 0; i < 10; i = i + 1) {
-    for (j = 0; j < 5; j = j + 1) { n = n + 1; } }
-r = n; }""",
-}
-
-# Representative E2 kernels (benchmarks/test_e2_value_precision.py).
-E2_KERNELS = ("fibcall", "insertsort", "bs", "crc")
-
-
-def _states_identical(a, b):
-    return a.states_equal(b)
-
-
-class TestSolverEquivalence:
-    @pytest.mark.parametrize("name", sorted(E8_SOURCES))
-    def test_e8_programs(self, name):
-        graph = expand_task(build_cfg(compile_program(E8_SOURCES[name])))
-        fifo = analyze_values(graph, strategy="fifo")
-        wto = analyze_values(graph, strategy="wto")
-        assert _states_identical(fifo.fixpoint, wto.fixpoint)
-        assert wto.fixpoint.stats.transfers \
-            <= fifo.fixpoint.stats.transfers
-
-    @pytest.mark.parametrize("name", E2_KERNELS)
-    def test_e2_kernels(self, name):
-        workload = get_workload(name)
-        graph = expand_task(build_cfg(workload.compile()))
-        fifo = analyze_values(graph, strategy="fifo")
-        wto = analyze_values(graph, strategy="wto")
-        assert _states_identical(fifo.fixpoint, wto.fixpoint)
-        assert wto.fixpoint.stats.transfers \
-            <= fifo.fixpoint.stats.transfers
 
 
 # -- Determinism --------------------------------------------------------------

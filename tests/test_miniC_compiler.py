@@ -49,6 +49,26 @@ class TestParser:
             parse("int f(int a, int b, int c, int d, int e) { return 0; } "
                   "void main() { }")
 
+    @pytest.mark.parametrize("source", [
+        "int r; void main() { r = " + "(" * 500 + "1" + ")" * 500 + "; }",
+        "int r; void main() { r = " + "-" * 2000 + "1; }",
+        "int r; void main() { " + "{" * 600 + "r = 1;" + "}" * 600 + " }",
+        "int r; void main() { " + "if (r) " * 400 + "r = 1; }",
+        "int r; void main() { r = " + "+".join(["1"] * 2000) + "; }",
+    ], ids=["parentheses", "unary-minus", "blocks", "ifs", "binary-chain"])
+    def test_deep_nesting_is_a_parse_error(self, source):
+        # Each shape used to end in a RecursionError, in the parser or
+        # (the binary chain) in codegen.
+        with pytest.raises(ParseError,
+                           match="^line 1: nesting deeper than 100 levels$"):
+            compile_program(source)
+
+    def test_moderate_nesting_compiles(self):
+        compile_program("int r; void main() { r = "
+                        + "(" * 60 + "1" + ")" * 60 + "; }")
+        compile_program("int r; void main() { r = "
+                        + "+".join(["1"] * 90) + "; }")
+
 
 class TestExecution:
     def test_arithmetic(self):

@@ -2,7 +2,8 @@
 
 Hypothesis generates structured random KRISC programs (straight-line
 arithmetic, if/else diamonds, small counted loops, memory traffic) and
-random inputs.  For each: the concrete run's final register and memory
+random inputs.  For each: the value fixpoint must pass the
+post-fixpoint check and the concrete run's final register and memory
 values must be contained in the abstract state value analysis computed
 at the exit — over every domain — and the WCET/stack bounds must cover
 the run.
@@ -22,7 +23,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import Const, Interval, StridedInterval, analyze_values
+from repro.analysis import (Const, Interval, StridedInterval, analyze_values,
+                            check_postfixpoint)
+from repro.analysis.solver import _ValueSemantics
 from repro.cache.config import CacheConfig, MachineConfig
 from repro.cfg import build_cfg, expand_task
 from repro.cfg.contexts import parse_policy
@@ -140,6 +143,10 @@ def test_abstract_state_contains_concrete_run(domain, data):
     graph = expand_task(build_cfg(program))
     values = analyze_values(graph, domain=domain,
                             register_ranges={0: input_range})
+    fixpoint = values.fixpoint
+    assert check_postfixpoint(_ValueSemantics(graph), graph,
+                              fixpoint.task_entry_state,
+                              fixpoint.entry_states) == []
     execution = run_program(program, arguments={0: input_value},
                             max_steps=100_000)
 

@@ -143,15 +143,21 @@ class TestProgramSlices:
 # Service-level incremental re-analysis (no HTTP in between).
 
 
-def finish(service, job_id, timeout=180.0):
+def settle(service, job_id, timeout=180.0):
+    """The job's record once it is done or failed."""
     deadline = time.monotonic() + timeout
     while True:
         record = service.job(job_id)
         if record["status"] in ("done", "error"):
-            assert record["status"] == "done", record.get("error")
             return record
         assert time.monotonic() < deadline, f"job {job_id} stuck"
         time.sleep(0.01)
+
+
+def finish(service, job_id, timeout=180.0):
+    record = settle(service, job_id, timeout)
+    assert record["status"] == "done", record.get("error")
+    return record
 
 
 def run(service, payload):
@@ -296,15 +302,16 @@ class TestIncrementalService:
 
     def test_compile_errors_surface_as_job_errors(self, service):
         job_id = service.submit({"source": "void main() { x = 1; }"})
-        deadline = time.monotonic() + 60
-        while True:
-            record = service.job(job_id)
-            if record["status"] in ("done", "error"):
-                break
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
+        record = settle(service, job_id, timeout=60)
         assert record["status"] == "error"
         assert "x" in record["error"]
+
+    def test_deep_nesting_is_a_job_error(self, service):
+        job_id = service.submit(
+            {"source": "int r; void main() { r = " + "-" * 2000 + "1; }"})
+        record = settle(service, job_id, timeout=60)
+        assert record["status"] == "error"
+        assert "nesting deeper than 100 levels" in record["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,7 @@ class TestCLI:
         (["wcet", "recursive.c"], "ExpansionError"),
         (["stack", "recursive.c"], "ExpansionError"),
         (["wcet", "syntax.c"], "ParseError"),
+        (["wcet", "nested.c"], "ParseError"),
         (["wcet", "mnemonic.s"], "AssemblyError"),
         (["wcet", "missing.c"], "FileNotFoundError"),
         (["rta", "missing.json"], "FileNotFoundError"),
@@ -249,8 +250,8 @@ class TestCLI:
         (["rta", "boolean.json"], "ValueError"),
         (["rta", "fraction.json"], "ValueError"),
     ], ids=["unbounded-loop", "recursion", "stack-recursion",
-            "syntax-error", "unknown-mnemonic", "missing-source",
-            "missing-taskset", "no-server", "out-of-fuel",
+            "syntax-error", "deep-nesting", "unknown-mnemonic",
+            "missing-source", "missing-taskset", "no-server", "out-of-fuel",
             "unknown-workload", "unknown-workload-sweep",
             "unknown-taskset-key", "string-priority", "boolean-priority",
             "fractional-period"])
@@ -262,6 +263,8 @@ class TestCLI:
                            "return f(n - 1); }\n"
                            "void main() { f(3); }\n",
             "syntax.c": "void main() { int; }\n",
+            "nested.c": "int r; void main() { r = "
+                        + "(" * 500 + "1" + ")" * 500 + "; }\n",
             "mnemonic.s": "main:\n    FROB R1, R2\n    HALT\n",
             "task.c": "int r;\nvoid main() { int i; "
                       "for (i = 0; i < 5; i = i + 1) { r = r + i; } }\n",
@@ -315,15 +318,14 @@ class TestCLI:
         # artifact instead of running a second value analysis.
         from repro.analysis import valueanalysis
 
-        solver = valueanalysis.FixpointSolver
+        solve = valueanalysis.solve_values
         analyses = []
 
-        def counting_solver(*args, **kwargs):
+        def counting_solve(*args, **kwargs):
             analyses.append(args)
-            return solver(*args, **kwargs)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(valueanalysis, "FixpointSolver",
-                            counting_solver)
+        monkeypatch.setattr(valueanalysis, "solve_values", counting_solve)
         assert cli_main(["wcet", c_file]) == 0
         assert "StackAnalyzer" in capsys.readouterr().out
         assert len(analyses) == 1
