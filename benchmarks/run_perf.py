@@ -247,7 +247,8 @@ def measure_large_point(repeat: int) -> Dict:
         "analyze_wcet_seconds": round(min(wall_times), 4),
         "path_seconds": phase_seconds["path"],
         "phase_seconds": phase_seconds,
-        "lp_supernodes": result.path.lp_supernodes,
+        "num_variables": result.path.num_variables,
+        "num_constraints": result.path.num_constraints,
         "ilp_stats": dict(vars(result.solver_stats["path"])),
         "value_stats": dict(vars(result.solver_stats["value"])),
         "domain_impls": domain_impls,
@@ -378,8 +379,9 @@ def main(argv=None) -> int:
     large = measure_large_point(repeat)
     points.append(large)
     print(f"\nlarge synthetic point: {large['instructions']} "
-          f"instructions, {large['nodes']} task-graph nodes -> "
-          f"{large['lp_supernodes']} LP supernodes; "
+          f"instructions, {large['nodes']} task-graph nodes, LP "
+          f"{large['num_variables']} variables x "
+          f"{large['num_constraints']} rows; "
           f"analyze {large['analyze_wcet_seconds'] * 1000:.0f} ms "
           f"(path {large['path_seconds'] * 1000:.0f} ms, "
           f"{large['ilp_stats']['pivots']} pivots), "

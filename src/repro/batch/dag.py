@@ -57,7 +57,9 @@ class TaskNode:
     spec: JobSpec                   #: a job whose plan contains the task
     template: str                   #: template name within that job's plan
     deps: List["TaskNode"] = field(default_factory=list)
-    dependents: List["TaskNode"] = field(default_factory=list)
+    #: Build indices of the nodes that depend on this one: no reference
+    #: cycle keeps a drained DAG and its artifacts alive until a GC.
+    dependents: List[int] = field(default_factory=list)
     #: Every (job index, template name) that references this node, in
     #: job order.  ``refs[0]`` is the canonical owner used to attribute
     #: hit/miss provenance and timing deterministically.
@@ -122,7 +124,7 @@ class TaskDAG:
             self._by_identity[identity] = node
             for dep in dict.fromkeys(deps):
                 node.deps.append(dep)
-                dep.dependents.append(node)
+                dep.dependents.append(node.index)
         node.refs.append((job_index, template))
         return node
 
@@ -157,7 +159,8 @@ class TaskDAG:
         node.finish_order = self._finished
         self._finished += 1
         released = []
-        for dependent in node.dependents:
+        for index in node.dependents:
+            dependent = self.nodes[index]
             dependent.pending -= 1
             if dependent.pending == 0 and dependent.state == "pending":
                 dependent.state = "ready"
@@ -178,8 +181,8 @@ class TaskDAG:
             failed.append(current)
             downstream = f"upstream task {current.label} failed: {message}" \
                 if current is node else message
-            for dependent in current.dependents:
-                stack.append((dependent, downstream))
+            for index in current.dependents:
+                stack.append((self.nodes[index], downstream))
         return failed
 
 

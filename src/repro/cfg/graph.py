@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..isa.instructions import Cond, Instruction, Opcode
 
@@ -156,22 +156,22 @@ class CallGraph:
         outside the supported program class, as in most WCET tools).
         """
         order: List[int] = []
-        state: Dict[int, str] = {}
-
-        def visit(node: int, chain: Tuple[int, ...]) -> None:
-            mark = state.get(node)
-            if mark == "done":
-                return
-            if mark == "active":
-                names = " -> ".join(
-                    self.names.get(f, hex(f)) for f in chain + (node,))
+        done: Set[int] = set()
+        # Depth-first over an explicit stack: the call chain down to the
+        # function being visited, and each one's callees left to visit.
+        chain, pending = [root], [iter(self.callees(root))]
+        while chain:
+            callee = next((f for f in pending[-1] if f not in done), None)
+            if callee is None:
+                pending.pop()
+                done.add(chain[-1])
+                order.append(chain.pop())
+            elif callee in chain:
+                names = " -> ".join(self.names.get(f, hex(f))
+                                    for f in chain + [callee])
                 raise RecursionError(
                     f"recursive call cycle not supported: {names}")
-            state[node] = "active"
-            for callee in self.callees(node):
-                visit(callee, chain + (node,))
-            state[node] = "done"
-            order.append(node)
-
-        visit(root, ())
+            else:
+                chain.append(callee)
+                pending.append(iter(self.callees(callee)))
         return order

@@ -1,9 +1,9 @@
 """IPET path analysis: CFG + timing + loop bounds -> WCET (phase 6)."""
 
-from .ipet import (PathAnalysis, PathAnalysisResult, UnboundedLoopError,
-                   WorstCasePath, analyze_paths)
+from .ipet import (InexactBoundError, PathAnalysis, PathAnalysisResult,
+                   UnboundedLoopError, WorstCasePath, analyze_paths)
 
 __all__ = [
-    "PathAnalysis", "PathAnalysisResult", "UnboundedLoopError",
-    "WorstCasePath", "analyze_paths",
+    "InexactBoundError", "PathAnalysis", "PathAnalysisResult",
+    "UnboundedLoopError", "WorstCasePath", "analyze_paths",
 ]

@@ -7,26 +7,24 @@ value analysis.  "Integer linear programming is used for path analysis"
 (Section 3); the solution also yields "a corresponding worst-case
 execution path" as the edge-count profile.
 
-Before the program is built, single-entry/single-exit block chains of
-the expanded graph are contracted into supernodes: along such a chain
-every node and every interior edge executes exactly as often as the
-chain head, so one variable (with the summed cost) represents the whole
-chain and the LP shrinks severalfold.  Loop headers (including their
-peel copies), the task entry, and nodes referenced by infeasible-path
-constraints stay uncontracted because later constraints address them
-individually; the witness profile is expanded back to full per-node and
-per-edge counts afterwards.
+The program is the textbook one: a count per task-graph node, per edge
+and per task exit, plus a 0/1 gate per one-time cost.  Presolve
+(:mod:`repro.ilp.presolve`) is its only reduction: doubleton
+substitution folds the equal counts along straight-line block chains,
+so the LP that is solved is the IPET program itself.  The bound is the
+witness's cost recomputed in exact integers; when the float optimum
+disagrees with it (a bound past 2**53 cycles), the bound is refused.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.loopbounds import LoopBound
 from ..analysis.valueanalysis import ValueAnalysisResult
-from ..cfg.expand import NodeId, TaskEdge, TaskGraph
+from ..cfg.expand import NodeId, TaskGraph
 from ..cfg.graph import EdgeKind
 from ..ilp.model import LinearProgram, Sense
 from ..ilp.branchbound import solve_ilp
@@ -46,15 +44,25 @@ class UnboundedLoopError(ValueError):
         self.headers = headers
 
 
+class InexactBoundError(ValueError):
+    """The float LP optimum and the exact cost of its own witness path
+    disagree: the bound is beyond what the LP represents exactly."""
+
+    def __init__(self, objective: int, witness_cost: int):
+        super().__init__(
+            f"the LP optimum rounds to {objective} cycles but its witness "
+            f"path costs {witness_cost}; the bound is too large for the "
+            "float LP to represent exactly")
+        self.objective = objective
+        self.witness_cost = witness_cost
+
+
 @dataclass
 class WorstCasePath:
     """The worst-case execution profile: counts per node and edge."""
 
     node_counts: Dict[NodeId, int]
     edge_counts: Dict[Tuple[NodeId, NodeId, EdgeKind], int]
-
-    def count(self, node: NodeId) -> int:
-        return self.node_counts.get(node, 0)
 
 
 @dataclass
@@ -69,10 +77,6 @@ class PathAnalysisResult:
     num_constraints: int
     #: LP/ILP engine counters (pivots, presolve, B&B warm starts).
     solver_stats: Optional[ILPStats] = None
-    #: Task-graph nodes before chain contraction.
-    graph_nodes: int = 0
-    #: Supernodes the LP was actually built over.
-    lp_supernodes: int = 0
 
 
 class PathAnalysis:
@@ -80,24 +84,20 @@ class PathAnalysis:
 
     def __init__(self, graph: TaskGraph, timing: TimingModel,
                  loop_bounds: Dict[NodeId, LoopBound],
-                 values: Optional[ValueAnalysisResult] = None,
-                 use_infeasible_paths: bool = True,
-                 contract_chains: bool = True):
+                 values: ValueAnalysisResult,
+                 use_infeasible_paths: bool = True):
         self.graph = graph
         self.timing = timing
         self.loop_bounds = loop_bounds
         self.values = values
-        self.use_infeasible_paths = use_infeasible_paths and \
-            values is not None
-        self.contract_chains = contract_chains
+        self.use_infeasible_paths = use_infeasible_paths
 
     def solve(self, integer: bool = True) -> PathAnalysisResult:
-        (program, chains, merge_next, chain_vars, node_vars, edge_vars,
-         exit_vars, onetime_vars) = self._build_program()
+        program, node_vars, edge_vars = self._build_program()
         stats = ILPStats()
         relaxation = solve_lp(program, stats=stats)
-        if relaxation.status == "unbounded":
-            raise UnboundedLoopError(self._unbounded_headers())
+        # Building the program gave every loop its bound row (or raised
+        # UnboundedLoopError), so no well-formed program is unbounded.
         if relaxation.status != "optimal":
             raise RuntimeError(
                 f"IPET program is {relaxation.status}; the task graph "
@@ -109,148 +109,56 @@ class PathAnalysis:
             solution = solve_ilp(program, stats=stats)
             integral = True
 
-        # Expand the supernode profile back to per-node/per-edge counts:
-        # every chain member and interior edge runs exactly as often as
-        # the chain itself.
-        node_counts: Dict[NodeId, int] = {}
-        edge_counts: Dict[Tuple[NodeId, NodeId, EdgeKind], int] = {}
-        for chain, var in zip(chains, chain_vars):
-            value = solution.value_of(var)
-            if value <= 1e-6:
-                continue
-            count = int(round(value))
-            for node in chain:
-                node_counts[node] = count
-            for member in chain[:-1]:
-                edge = merge_next[member]
-                edge_counts[(edge.source, edge.target, edge.kind)] = count
-        for key, var in edge_vars.items():
-            value = solution.value_of(var)
-            if value > 1e-6:
-                edge_counts[key] = int(round(value))
-
-        wcet = int(round(solution.objective)) if integral \
-            else int(math.ceil(solution.objective - 1e-9))
+        path = WorstCasePath(_counts(solution, node_vars),
+                             _counts(solution, edge_vars))
+        if integral:
+            wcet = self._witness_cost(path)
+            rounded = int(round(solution.objective))
+            if wcet != rounded:
+                raise InexactBoundError(rounded, wcet)
+        else:
+            wcet = int(math.ceil(solution.objective - 1e-9))
         return PathAnalysisResult(
             wcet_cycles=wcet,
-            path=WorstCasePath(node_counts, edge_counts),
+            path=path,
             lp_bound=relaxation.objective,
             integral=integral,
             num_variables=program.num_variables,
             num_constraints=program.num_constraints,
-            solver_stats=stats,
-            graph_nodes=self.graph.node_count(),
-            lp_supernodes=len(chains))
+            solver_stats=stats)
 
-    # -- Chain contraction ------------------------------------------------------
-
-    def _contract_chains(self) -> Tuple[List[List[NodeId]],
-                                        Dict[NodeId, TaskEdge]]:
-        """Partition the graph into maximal single-entry/single-exit
-        chains.  Returns the chains (in deterministic node order) and
-        the interior merge edge of every non-tail chain member."""
-        graph = self.graph
-        nodes = graph.nodes()
-        if not self.contract_chains:
-            return [[node] for node in nodes], {}
-
-        # Nodes later constraints address individually must head their
-        # own supernode: loop headers (all peel phases share the block
-        # address), and — when infeasible-path constraints are emitted —
-        # unreachable nodes and infeasible-edge endpoints.
-        header_blocks: Set[int] = set()
-        if self.values is not None:
-            for loop in self.values.fixpoint.loop_forest:
-                header_blocks.add(loop.header.block)
-        infeasible_keys = set()
-        unreachable: Set[NodeId] = set()
-        if self.use_infeasible_paths:
-            infeasible_keys = {
-                (edge.source, edge.target, edge.kind)
-                for edge in self.values.infeasible_edges}
-            unreachable = {
-                node for node in nodes
-                if not self.values.fixpoint.reachable(node)}
-
-        merge_next: Dict[NodeId, TaskEdge] = {}
-        for node in nodes:
-            succs = graph.successors(node)
-            if len(succs) != 1:
-                continue
-            edge = succs[0]
-            target = edge.target
-            if (target == graph.entry
-                    or target == node
-                    or target.block in header_blocks
-                    or node in unreachable
-                    or target in unreachable
-                    or (edge.source, edge.target, edge.kind)
-                    in infeasible_keys
-                    or len(graph.predecessors(target)) != 1):
-                continue
-            merge_next[node] = edge
-
-        merged_targets = {edge.target for edge in merge_next.values()}
-        chains: List[List[NodeId]] = []
-        assigned: Set[NodeId] = set()
-        for node in nodes:
-            if node in merged_targets:
-                continue
-            chain = [node]
-            assigned.add(node)
-            current = node
-            while current in merge_next:
-                current = merge_next[current].target
-                chain.append(current)
-                assigned.add(current)
-            chains.append(chain)
-        # A cycle of merge edges has no head (possible only for regions
-        # no loop-forest header guards, e.g. unreachable cycles with
-        # infeasible-path constraints disabled): break it at the first
-        # node in deterministic order; the wrap-around edge then stays a
-        # real (cross-chain) edge.
-        for node in nodes:
-            if node in assigned:
-                continue
-            chain = [node]
-            assigned.add(node)
-            current = node
-            while current in merge_next and \
-                    merge_next[current].target not in assigned:
-                current = merge_next[current].target
-                chain.append(current)
-                assigned.add(current)
-            chains.append(chain)
-        return chains, merge_next
+    def _witness_cost(self, path: WorstCasePath) -> int:
+        """The cycles of the witness profile in exact integers: every
+        execution of a block and an edge, plus the one-time cost of
+        every block it executes."""
+        timing = self.timing
+        return (sum(count * timing.block_cost(node)
+                    for node, count in path.node_counts.items())
+                + sum(count * timing.edges.get(key, 0)
+                      for key, count in path.edge_counts.items())
+                + sum(timing.onetime_cost(node)
+                      for node in path.node_counts))
 
     # -- Program construction ---------------------------------------------------
 
     def _build_program(self):
+        """The IPET program: one count per task-graph node, per edge and
+        per task exit, and a 0/1 gate per one-time cost.  Returns the
+        program and the node and edge count variables."""
         graph = self.graph
         program = LinearProgram("ipet")
-        chains, merge_next = self._contract_chains()
-
-        chain_vars = []
-        node_vars: Dict[NodeId, object] = {}
-        for index, chain in enumerate(chains):
-            var = program.add_variable(f"x_{index}")
-            chain_vars.append(var)
-            for node in chain:
-                node_vars[node] = var
-
-        # Cross-chain edges all emanate from chain tails (interior
-        # members have exactly one successor: their merge edge).
+        nodes = graph.nodes()
+        node_vars = {node: program.add_variable(f"x_{index}")
+                     for index, node in enumerate(nodes)}
         edge_vars = {}
-        for index, chain in enumerate(chains):
-            tail = chain[-1]
-            for j, edge in enumerate(graph.successors(tail)):
+        for index, node in enumerate(nodes):
+            for j, edge in enumerate(graph.successors(node)):
                 key = (edge.source, edge.target, edge.kind)
                 edge_vars[key] = program.add_variable(f"y_{index}_{j}")
         exit_vars = {}
-        for index, chain in enumerate(chains):
-            tail = chain[-1]
-            if not graph.successors(tail):
-                exit_vars[tail] = program.add_variable(
+        for node in nodes:
+            if not graph.successors(node):
+                exit_vars[node] = program.add_variable(
                     f"exit_{len(exit_vars)}")
         onetime_vars = {}
         for node, timing in self.timing.blocks.items():
@@ -258,27 +166,24 @@ class PathAnalysis:
                 onetime_vars[node] = program.add_variable(
                     f"z_{len(onetime_vars)}", upper=1)
 
-        # Flow conservation per supernode: executions = inflow = outflow
-        # (inflow arrives at the chain head, outflow leaves the tail).
-        for index, chain in enumerate(chains):
-            head, tail = chain[0], chain[-1]
-            x_var = chain_vars[index]
+        # Flow conservation per node: executions = inflow = outflow.
+        for node, x_var in node_vars.items():
             inflow = {x_var.index: -1.0}
-            for edge in graph.predecessors(head):
+            for edge in graph.predecessors(node):
                 key = (edge.source, edge.target, edge.kind)
                 inflow[edge_vars[key].index] = \
                     inflow.get(edge_vars[key].index, 0.0) + 1.0
-            rhs = -1.0 if head == graph.entry else 0.0
+            rhs = -1.0 if node == graph.entry else 0.0
             program.add_constraint(inflow, Sense.EQ, rhs,
                                    f"in_{x_var.name}")
 
             outflow = {x_var.index: -1.0}
-            for edge in graph.successors(tail):
+            for edge in graph.successors(node):
                 key = (edge.source, edge.target, edge.kind)
                 outflow[edge_vars[key].index] = \
                     outflow.get(edge_vars[key].index, 0.0) + 1.0
-            if tail in exit_vars:
-                outflow[exit_vars[tail].index] = 1.0
+            if node in exit_vars:
+                outflow[exit_vars[node].index] = 1.0
             program.add_constraint(outflow, Sense.EQ, 0.0,
                                    f"out_{x_var.name}")
 
@@ -288,9 +193,7 @@ class PathAnalysis:
             Sense.EQ, 1.0, "one_exit")
 
         # Loop bounds (and, under a peeling policy, the structural
-        # constraints linking peeled copies to loop entries).  Loop
-        # headers are never contracted into a chain, so every edge these
-        # constraints mention is a real cross-chain edge.
+        # constraints linking peeled copies to loop entries).
         self._add_loop_constraints(program, edge_vars, node_vars)
 
         # Infeasible paths (ablation D5).
@@ -310,15 +213,10 @@ class PathAnalysis:
                 {z_var.index: 1.0, node_vars[node].index: -1.0},
                 Sense.LE, 0.0, "onetime_gate")
 
-        # Objective: worst-case cycles.  A supernode carries the summed
-        # block costs of its members plus its interior edge costs.
-        for index, chain in enumerate(chains):
-            cost = sum(self.timing.block_cost(node) for node in chain)
-            for member in chain[:-1]:
-                edge = merge_next[member]
-                cost += self.timing.edges.get(
-                    (edge.source, edge.target, edge.kind), 0)
-            program.set_objective_coefficient(chain_vars[index], cost)
+        # Objective: worst-case cycles.
+        for node, x_var in node_vars.items():
+            program.set_objective_coefficient(
+                x_var, self.timing.block_cost(node))
         for key, y_var in edge_vars.items():
             cost = self.timing.edges.get(key, 0)
             if cost:
@@ -327,14 +225,11 @@ class PathAnalysis:
             program.set_objective_coefficient(
                 z_var, self.timing.onetime_cost(node))
 
-        return (program, chains, merge_next, chain_vars, node_vars,
-                edge_vars, exit_vars, onetime_vars)
+        return program, node_vars, edge_vars
 
     def _add_loop_constraints(self, program: LinearProgram,
                               edge_vars, node_vars) -> None:
         unbounded = []
-        if self.values is None:
-            return
         for loop in self.values.fixpoint.loop_forest:
             bound = self.loop_bounds.get(loop.header)
             if bound is None or not bound.is_bounded:
@@ -346,25 +241,25 @@ class PathAnalysis:
                     if edge.target == header:
                         key = (edge.source, edge.target, edge.kind)
                         coeffs[edge_vars[key].index] = 1.0
-            for edge in self.graph.predecessors(loop.header):
-                if edge.source not in loop.body:
-                    key = (edge.source, edge.target, edge.kind)
-                    coeffs[edge_vars[key].index] = \
-                        coeffs.get(edge_vars[key].index, 0.0) \
-                        - (bound.max_iterations - 1)
+            entries = [edge_vars[(edge.source, edge.target, edge.kind)].index
+                       for edge in self.graph.predecessors(loop.header)
+                       if edge.source not in loop.body]
+            for index in entries:
+                coeffs[index] = coeffs.get(index, 0.0) \
+                    - (bound.max_iterations - 1)
             # The task entry is an implicit loop-entry edge executed once.
             rhs = float(bound.max_iterations - 1) \
                 if loop.header == self.graph.entry else 0.0
             program.add_constraint(coeffs, Sense.LE, rhs,
                                    f"loop_{loop.header!r}")
-            self._add_peel_constraints(program, edge_vars, node_vars,
-                                       loop)
+            self._add_peel_constraints(program, node_vars, loop, entries)
         if unbounded:
             raise UnboundedLoopError(unbounded)
 
-    def _add_peel_constraints(self, program: LinearProgram, edge_vars,
-                              node_vars, loop) -> None:
-        """Structural VIVU constraints for a peeled loop.
+    def _add_peel_constraints(self, program: LinearProgram, node_vars,
+                              loop, entries: List[int]) -> None:
+        """Structural VIVU constraints for a peeled loop, whose loop-entry
+        edges have the variable indices ``entries``.
 
         The forest only contains the steady-state copy; its peeled
         prologue copies are separate (acyclic) nodes.  Flow
@@ -394,30 +289,25 @@ class PathAnalysis:
         last_peeled = header_copy(peel - 1)
         if last_peeled is not None:
             coeffs = {last_peeled.index: -1.0}
-            for edge in self.graph.predecessors(header):
-                if edge.source not in loop.body:
-                    key = (edge.source, edge.target, edge.kind)
-                    coeffs[edge_vars[key].index] = \
-                        coeffs.get(edge_vars[key].index, 0.0) + 1.0
+            for index in entries:
+                coeffs[index] = coeffs.get(index, 0.0) + 1.0
             program.add_constraint(coeffs, Sense.LE, 0.0,
                                    f"peel_entry_{header!r}")
 
-    def _unbounded_headers(self) -> List[NodeId]:
-        return [loop.header
-                for loop in self.values.fixpoint.loop_forest
-                if not self.loop_bounds.get(
-                    loop.header,
-                    LoopBound(loop.header, None, "none")).is_bounded] \
-            if self.values is not None else []
+
+def _counts(solution, variables) -> Dict:
+    """The positive counts of ``variables`` (key -> LP variable)."""
+    values = {key: solution.value_of(var) for key, var in variables.items()}
+    return {key: int(round(value)) for key, value in values.items()
+            if value > 1e-6}
 
 
 def analyze_paths(graph: TaskGraph, timing: TimingModel,
                   loop_bounds: Dict[NodeId, LoopBound],
-                  values: Optional[ValueAnalysisResult] = None,
+                  values: ValueAnalysisResult,
                   use_infeasible_paths: bool = True,
-                  integer: bool = True,
-                  contract_chains: bool = True) -> PathAnalysisResult:
+                  integer: bool = True) -> PathAnalysisResult:
     """Compute the WCET bound and worst-case path (phase 6 of aiT)."""
     analysis = PathAnalysis(graph, timing, loop_bounds, values,
-                            use_infeasible_paths, contract_chains)
+                            use_infeasible_paths)
     return analysis.solve(integer=integer)

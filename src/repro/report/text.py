@@ -98,9 +98,6 @@ def wcet_report(result: WCETResult,
     out("")
 
     out("-- Phase 6: path analysis (IPET)")
-    if result.path.graph_nodes:
-        out(f"   chain contraction: {result.path.graph_nodes} nodes -> "
-            f"{result.path.lp_supernodes} supernodes")
     out(f"   ILP: {result.path.num_variables} variables, "
         f"{result.path.num_constraints} constraints")
     out(f"   LP relaxation: {result.path.lp_bound:.1f} cycles "

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Type)
 
-from ..analysis.domain import AbstractValue
+from ..analysis.domain import INT_MAX, INT_MIN, AbstractValue
 from ..domainimpl import resolve_domain_impl, value_effective_impl
 from ..analysis.interval import Interval
 from ..analysis.loopbounds import LoopBound, analyze_loop_bounds
@@ -164,17 +164,25 @@ def _cache_config_material(config: CacheConfig) -> str:
 
 
 def validate_annotations(register_ranges: Optional[Mapping] = None,
-                         manual_loop_bounds: Optional[Mapping] = None
-                         ) -> None:
+                         manual_loop_bounds: Optional[Mapping] = None,
+                         memory_ranges: Optional[Mapping] = None) -> None:
     """Raise :class:`ValueError`, naming the item, for an annotation no
-    run can satisfy: a register outside R0..R15, a register range with
-    low > high, or a loop bound below 1.  :func:`phase_plan`, serve
-    requests and the CLI all check annotations here."""
-    for register, (low, high) in (register_ranges or {}).items():
-        name = register_name(register)
+    run can satisfy: a register outside R0..R15, a register or memory
+    range that is empty or leaves the signed 32-bit word, or a loop
+    bound below 1.  :func:`phase_plan`, serve requests and the CLI all
+    check annotations here."""
+    ranges = [(f"register range for {register_name(register)}", span)
+              for register, span in (register_ranges or {}).items()]
+    ranges += [(f"memory range at 0x{address:x}", span)
+               for address, span in (memory_ranges or {}).items()]
+    for name, (low, high) in ranges:
         if low > high:
-            raise ValueError(f"register range for {name} is empty: "
-                             f"{low} > {high}")
+            raise ValueError(f"{name} is empty: {low} > {high}")
+        if low < INT_MIN or high > INT_MAX:
+            raise ValueError(
+                f"{name} [{low}, {high}] leaves the signed 32-bit range "
+                f"[{INT_MIN}, {INT_MAX}]; give the signed value, e.g. -1 "
+                "for 0xFFFFFFFF")
     for address, bound in (manual_loop_bounds or {}).items():
         if bound < 1:
             raise ValueError(f"loop bound for 0x{address:x} must be at "
@@ -207,7 +215,7 @@ def phase_plan(program: Program,
     feeds the plans of one or many jobs into one deduplicated task DAG
     (:mod:`repro.batch.dag`).
     """
-    validate_annotations(register_ranges, manual_loop_bounds)
+    validate_annotations(register_ranges, manual_loop_bounds, memory_ranges)
     config = config or MachineConfig.default()
     if pipeline_model is not None:
         config = config.with_model(pipeline_model)

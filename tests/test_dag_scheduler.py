@@ -13,6 +13,7 @@ failure) when a cached artifact vanishes under a bounded store.
 
 import copy
 import dataclasses
+import gc
 import glob
 import multiprocessing
 import os
@@ -31,7 +32,9 @@ from repro.batch.dag import _plan_for
 from repro.batch.scheduler import JobCancelled, JobTimeout, run_dag, run_plans
 from repro.cache.config import MachineConfig
 from repro.isa.assembler import assemble
+from repro.lang import compile_program
 from repro.wcet.ait import PHASES, analyze_wcet
+from repro.workloads.synthetic import generate_large_source
 
 SMALL_MATRIX = "fibcall,bs:full,vivu:additive,krisc5"
 #: Includes janne, whose discover-then-annotate prefix produces a
@@ -157,6 +160,31 @@ class TestDAGConstruction:
         assert {node.label for node in failed} == {"a", "b", "c"}
         assert unaffected.state != "failed"
         assert "boom" in c.error
+
+
+# -- Memory ----------------------------------------------------------------------
+
+
+class TestMemory:
+    def test_finished_analysis_is_freed_by_reference_counting(self):
+        # No reference cycle runs through a drained DAG (dependents are
+        # build indices) or the call graph, so dropping the result
+        # frees every phase artifact at once instead of whenever the
+        # cycle collector next runs.
+        program = compile_program(generate_large_source())
+        # A first, small analysis imports whatever the pipeline loads
+        # lazily; module set-up makes cycles of its own.
+        analyze_wcet(compile_program(generate_large_source(
+            depth=1, fanout=2, loop_iterations=4)))
+        gc.collect()
+        gc.disable()
+        try:
+            result = analyze_wcet(program)
+            assert result.wcet_cycles == 40425
+            del result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 # -- Task identity ---------------------------------------------------------------

@@ -5,8 +5,8 @@ Differential coverage against the retained dense tableau
 suite generates and on one ~500-pivot synthetic program, randomized LP
 property tests, a degenerate/cycling regression exercising the Bland
 fallback, residual-triggered refactorization of a perturbed basis
-inverse, presolve unit tests, and the chain-contraction / solver-stats
-plumbing of path analysis.
+inverse, presolve unit tests, and the solver-stats plumbing of path
+analysis.
 """
 
 import numpy as np
@@ -38,57 +38,27 @@ def build(num_vars, objective, constraints, upper=None, lower=None,
     return program
 
 
-def ipet_program(result, contract):
+def ipet_program(result):
     """Rebuild the IPET program of an analyzed task."""
     analysis = PathAnalysis(result.graph, result.timing,
                             result.loop_bounds, result.values,
-                            use_infeasible_paths=True,
-                            contract_chains=contract)
+                            use_infeasible_paths=True)
     return analysis._build_program()[0]
 
 
 class TestWorkloadDifferential:
-    """Old-dense vs new-sparse on every IPET program the suite builds,
-    both with and without chain contraction."""
+    """Old-dense vs new-sparse on every IPET program the suite builds."""
 
     @pytest.mark.parametrize("name", workload_names())
     def test_dense_and_sparse_agree(self, name):
         result = analyze_workload(get_workload(name))
-        reference = result.path.lp_bound
-        for contract in (False, True):
-            program = ipet_program(result, contract)
-            dense = solve_lp_dense(program)
-            sparse = solve_lp(program)
-            assert dense.status == sparse.status == "optimal"
-            assert sparse.objective == pytest.approx(dense.objective,
-                                                     abs=1e-6)
-            # Contraction must not change the optimum either.
-            assert sparse.objective == pytest.approx(reference, abs=1e-6)
-
-    #: branchy is all branch diamonds — nothing contracts, which is
-    #: itself worth pinning down alongside the chain-heavy kernels.
-    CONTRACTION_CASES = {"fibcall": True, "calltree": True,
-                         "branchy": False}
-
-    def test_contraction_preserves_bound_and_witness(self):
-        for name, shrinks in self.CONTRACTION_CASES.items():
-            result = analyze_workload(get_workload(name))
-            plain = PathAnalysis(result.graph, result.timing,
-                                 result.loop_bounds, result.values,
-                                 contract_chains=False).solve()
-            packed = PathAnalysis(result.graph, result.timing,
-                                  result.loop_bounds, result.values,
-                                  contract_chains=True).solve()
-            assert packed.wcet_cycles == plain.wcet_cycles
-            assert packed.lp_bound == pytest.approx(plain.lp_bound,
-                                                    abs=1e-6)
-            assert packed.path.node_counts == plain.path.node_counts
-            assert packed.path.edge_counts == plain.path.edge_counts
-            if shrinks:
-                assert packed.lp_supernodes < plain.lp_supernodes
-                assert packed.num_variables < plain.num_variables
-            else:
-                assert packed.lp_supernodes == plain.lp_supernodes
+        program = ipet_program(result)
+        dense = solve_lp_dense(program)
+        sparse = solve_lp(program)
+        assert dense.status == sparse.status == "optimal"
+        assert sparse.objective == pytest.approx(dense.objective, abs=1e-6)
+        assert sparse.objective == pytest.approx(result.path.lp_bound,
+                                                 abs=1e-6)
 
     def test_dense_and_sparse_agree_in_many_pivot_regime(self):
         # The suite LPs mostly solve in presolve or a few pivots; this
@@ -100,7 +70,7 @@ class TestWorkloadDifferential:
 
         result = analyze_wcet(compile_program(generate_large_source(
             depth=3, fanout=3, loop_iterations=6)))
-        program = ipet_program(result, contract=True)
+        program = ipet_program(result)
         stats = ILPStats()
         sparse = solve_lp(program, stats=stats)
         dense = solve_lp_dense(program)
@@ -110,21 +80,6 @@ class TestWorkloadDifferential:
         assert sparse.objective == pytest.approx(dense.objective, abs=1e-6)
         assert sparse.objective == pytest.approx(result.path.lp_bound,
                                                  abs=1e-6)
-
-    def test_contraction_covers_all_executed_nodes(self):
-        result = analyze_workload(get_workload("matmult"))
-        counts = result.path.path.node_counts
-        assert counts[result.graph.entry] == 1
-        # Flow conservation survives witness expansion: per-node count
-        # equals the inflow along the witness edges.
-        for node, count in counts.items():
-            if node == result.graph.entry:
-                continue
-            inflow = sum(
-                result.path.path.edge_counts.get(
-                    (e.source, e.target, e.kind), 0)
-                for e in result.graph.predecessors(node))
-            assert inflow == count
 
 
 class TestRandomPrograms:
@@ -377,8 +332,10 @@ class TestSolverStatsPlumbing:
         assert stats.bb_nodes == 0      # IPET relaxations are integral
         assert stats.pivots == stats.phase1_pivots + stats.phase2_pivots \
             + stats.dual_pivots
-        assert result.path.graph_nodes == result.graph.node_count()
-        assert 0 < result.path.lp_supernodes <= result.path.graph_nodes
+        # The program is the plain IPET one: a count per node and edge
+        # (presolve, not path analysis, does the reducing).
+        assert result.path.num_variables >= \
+            result.graph.node_count() + result.graph.edge_count()
 
     def test_presolve_alone_solves_tiny_programs(self):
         # fibcall's whole IPET program reduces away: the bound is

@@ -275,6 +275,8 @@ class TestIncrementalService:
                         {"source": BASE, "register_ranges": {"R0": [1]}},
                         {"source": BASE, "register_ranges": {"R99": [0, 5]}},
                         {"source": BASE, "register_ranges": {"R0": [5, 1]}},
+                        {"source": BASE,
+                         "register_ranges": {"R0": [0, 0xFFFFFFFF]}},
                         {"source": BASE, "loop_bounds": {"0x1000": 0}},
                         {"source": BASE, "loop_bounds": {"0x1000": -3}},
                         {"source": BASE, "label": ""}):
@@ -505,6 +507,8 @@ class TestHTTP:
         b'{"source": "void main() { }", "models": ["warp-drive"]}',
         b'{"source": "void main() { }", "loop_bounds": "nope"}',
         b'{"source": "void main() { }", "register_ranges": {"R0": [5, 1]}}',
+        b'{"source": "void main() { }",'
+        b' "register_ranges": {"R0": [0, 4294967295]}}',
     ])
     def test_malformed_posts_return_400(self, server, body):
         assert http_status(server, "/analyze", "POST", body) == 400

@@ -141,6 +141,8 @@ class TestCLI:
         (["wcet", "FILE", "--loop-bound", "0x10=abc"], "--loop-bound"),
         (["run", "FILE", "--reg", "Rx=1"], "--reg"),
         (["wcet", "FILE", "--reg-range", "R0=5:1"], "--reg-range"),
+        (["wcet", "FILE", "--reg-range", "R0=0:0xFFFFFFFF"],
+         "--reg-range"),
         (["wcet", "FILE", "--loop-bound", "0x10=0"], "--loop-bound"),
         (["wcet", "FILE", "--loop-bound", "0x10=-3"], "--loop-bound"),
         (["batch", "--matrix", "fibcall:full:additive", "--jobs", "0"],
@@ -173,8 +175,8 @@ class TestCLI:
          "--geometries"),
         (["run", "FILE", "--max-steps", "0"], "--max-steps"),
     ], ids=["range-without-hi", "range-without-value", "bound-not-int",
-            "unknown-register", "empty-range", "zero-bound",
-            "negative-bound", "zero-jobs", "negative-jobs",
+            "unknown-register", "empty-range", "unsigned-range",
+            "zero-bound", "negative-bound", "zero-jobs", "negative-jobs",
             "negative-cache-limit", "zero-workers", "zero-max-jobs",
             "zero-memo-entries", "zero-memo-mb", "zero-peel",
             "klimited-two-params", "full-with-param", "unknown-policy",

@@ -189,9 +189,15 @@ class TestLoops:
     @pytest.mark.parametrize("register_ranges, bound, message", [
         ({99: (0, 5)}, None, "register index out of range"),
         ({0: (5, 1)}, None, "range for R0 is empty"),
+        ({0: (0, 0xFFFFFFFF)}, None,
+         r"R0 \[0, 4294967295\] leaves the signed 32-bit range "
+         r"\[-2147483648, 2147483647\]"),
+        ({0: (3000000000, 3000000001)}, None, "R0 .* leaves the signed"),
+        ({0: (-(1 << 31) - 1, 0)}, None, "R0 .* leaves the signed"),
         (None, 0, "must be at least 1"),
         (None, -3, "must be at least 1"),
-    ], ids=["register-99", "empty-range", "zero-bound", "negative-bound"])
+    ], ids=["register-99", "empty-range", "unsigned-range", "above-word",
+            "below-word", "zero-bound", "negative-bound"])
     def test_malformed_annotation_is_value_error(self, register_ranges,
                                                  bound, message):
         # Rejected before any phase runs, instead of surfacing as an
@@ -210,6 +216,43 @@ class TestLoops:
             analyze_wcet(program, config=CONFIG,
                          register_ranges=register_ranges,
                          manual_loop_bounds=bounds)
+
+    @pytest.mark.parametrize("span, message", [
+        ((7, 3), "memory range at 0x2000 is empty: 7 > 3"),
+        ((0, 1 << 32), r"memory range at 0x2000 \[0, 4294967296\] leaves"),
+    ], ids=["empty", "beyond-word"])
+    def test_malformed_memory_range_is_value_error(self, span, message):
+        program = assemble("main:\n    HALT\n")
+        with pytest.raises(ValueError, match=message):
+            analyze_wcet(program, config=CONFIG,
+                         memory_ranges={0x2000: span})
+
+    def test_unsigned_register_range_is_refused_not_clamped(self):
+        # Clamped to [0, 2**31 - 1], R0 = 0xFFFFFFFF (-1 as a signed
+        # word) would never take the slow branch: a 13-cycle bound
+        # for a 274-cycle run.  Written as a signed range the bound
+        # covers the run.
+        source = """
+        main:
+            CMPI R0, #0
+            BLT slow
+            HALT
+        slow:
+            MOVI R1, #0
+        loop:
+            ADDI R1, R1, #1
+            CMPI R1, #50
+            BLT loop
+            HALT
+        """
+        with pytest.raises(ValueError, match="signed 32-bit range"):
+            analyze_wcet(assemble(source), config=CONFIG,
+                         register_ranges={0: (0, 0xFFFFFFFF)})
+        result, execution = wcet_and_run(
+            source, arguments={0: 0xFFFFFFFF},
+            register_ranges={0: (-(1 << 31), (1 << 31) - 1)})
+        assert execution.cycles == 274
+        assert result.wcet_cycles >= execution.cycles
 
 
 class TestCalls:
