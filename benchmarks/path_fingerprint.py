@@ -11,7 +11,9 @@ outputs to show a path-analysis change is neutral::
     diff before.jsonl after.jsonl
 
 The counters are deterministic, so any difference is a real change.
-The last line (to stderr) counts golden-bound mismatches.
+The last line (to stderr) counts golden-bound mismatches.  The output
+is committed as ``benchmarks/path_fingerprint.jsonl``, and CI diffs a
+fresh run against it.
 """
 
 import hashlib

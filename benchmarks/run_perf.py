@@ -12,7 +12,10 @@ context-explosion regressions are visible across PRs, plus a
 per-timing-model row (``additive`` vs ``krisc5``:
 WCET bound and phase timings) with two bound guards: krisc5 must
 never exceed additive on the same point, and neither model's bound
-may regress past the last recorded run.
+may regress past the last recorded run.  Two guards keep the value
+phase from scaling with code size: seconds per value transfer on the
+depth-7 synthetic program within a fixed ratio of the depth-5 (large)
+point, and a size cap on the large point's pickled value artifact.
 
 Usage::
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import platform
 import shutil
 import sys
@@ -39,6 +43,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from test_e7_scaling import _generate_program      # noqa: E402
 
+from repro.analysis import (VectorMemory,         # noqa: E402
+                            analyze_values)
 from repro.analysis.state import (AbstractMemory,  # noqa: E402
                                   AbstractState)
 from repro.batch import (clear_process_caches,         # noqa: E402
@@ -65,6 +71,21 @@ LARGE_MAX_PIVOTS = 800
 LARGE_MAX_REFACTORIZATIONS = 1
 LARGE_MAX_VALUE_TRANSFERS = 3100
 LARGE_MAX_VALUE_JOINS = 3750
+
+#: Value-phase scaling guards.  Each state keeps only its data and
+#: stack words; the code image is one read-only layer per analysis.  If
+#: states carried the image again, every join would touch every code
+#: word, and the cost per transfer would grow with program size: the
+#: depth-7 synthetic program (11006 instructions) read 1.4-1.6x the
+#: depth-5 large point's seconds per transfer that way, against
+#: 0.98-1.14x with the image layer, and the large point's pickled value
+#: artifact (what the phase cache and the serve memo hold) took 17.8 MB
+#: instead of ~1.3 MB.  A ratio of two sizes measured in one process is
+#: robust to the host's speed.
+VALUE_SCALING_DEPTHS = (5, 7)
+VALUE_SCALING_REPEAT = 3
+VALUE_SCALING_MAX_RATIO = 1.3
+LARGE_MAX_VALUE_ARTIFACT_BYTES = 2_000_000
 
 #: Timing models measured per point (per-model WCET + phase wall clock).
 MODELS = ("additive", "krisc5")
@@ -200,6 +221,7 @@ def measure_large_point(repeat: int) -> Dict:
     program = compile_program(generate_large_source())
     wall_times: List[float] = []
     result = None
+    image_copies_before = VectorMemory.image_materializations
     for _ in range(repeat):
         start = time.perf_counter()
         analyzed = analyze_wcet(program)
@@ -210,6 +232,7 @@ def measure_large_point(repeat: int) -> Dict:
         # and pivot counts are deterministic, but phase timings are not.
         if result is None or wall <= min(wall_times):
             result = analyzed
+    image_copies = VectorMemory.image_materializations - image_copies_before
 
     # Per-implementation comparison of the two vectorized phases
     # (value analysis and I-cache analysis): best combined wall clock
@@ -237,6 +260,8 @@ def measure_large_point(repeat: int) -> Dict:
 
     phase_seconds = {phase: round(seconds, 4)
                      for phase, seconds in result.phase_seconds.items()}
+    value_artifact_bytes = len(pickle.dumps(
+        result.values, protocol=pickle.HIGHEST_PROTOCOL))
     return {
         "stages": "large",
         "kind": "large",
@@ -251,11 +276,47 @@ def measure_large_point(repeat: int) -> Dict:
         "num_constraints": result.path.num_constraints,
         "ilp_stats": dict(vars(result.solver_stats["path"])),
         "value_stats": dict(vars(result.solver_stats["value"])),
+        "value_artifact_bytes": value_artifact_bytes,
+        # States that had to copy the read-only code image (a write
+        # that may touch .text); the large point makes none.
+        "value_image_copies_per_run": image_copies // repeat,
         "domain_impls": domain_impls,
         "domain_impl_speedup": round(speedup, 2),
         "models": {"additive": {"wcet_cycles": result.wcet_cycles,
                                 "phase_seconds": phase_seconds}},
     }
+
+
+def measure_value_scaling() -> Dict:
+    """Best-of-N value-phase seconds per transfer on the synthetic
+    programs of :data:`VALUE_SCALING_DEPTHS`, and their ratio.  The
+    repetitions alternate between the programs, so a slow spell of the
+    host hits both sides of the ratio alike."""
+    programs = {depth: compile_program(generate_large_source(depth))
+                for depth in VALUE_SCALING_DEPTHS}
+    graphs = {depth: expand_task(build_cfg(program))
+              for depth, program in programs.items()}
+    best: Dict[int, float] = {}
+    stats = {}
+    for _ in range(VALUE_SCALING_REPEAT):
+        for depth, program in programs.items():
+            start = time.perf_counter()
+            values = analyze_values(graphs[depth], program=program)
+            seconds = time.perf_counter() - start
+            best[depth] = min(seconds, best.get(depth, seconds))
+            stats[depth] = values.fixpoint.stats
+    depths = {depth: {
+        "instructions": len(program.text.data) // 4,
+        "transfers": stats[depth].transfers,
+        "joins": stats[depth].joins,
+        "value_seconds": round(best[depth], 4),
+        "ms_per_transfer": round(
+            1000 * best[depth] / stats[depth].transfers, 5),
+    } for depth, program in programs.items()}
+    small, large = (depths[depth] for depth in VALUE_SCALING_DEPTHS)
+    return {"depths": depths,
+            "ratio": round(large["ms_per_transfer"]
+                           / small["ms_per_transfer"], 3)}
 
 
 def measure_batch_sweep(quick: bool) -> Dict:
@@ -386,11 +447,22 @@ def main(argv=None) -> int:
           f"(path {large['path_seconds'] * 1000:.0f} ms, "
           f"{large['ilp_stats']['pivots']} pivots), "
           f"WCET {large['wcet_cycles']}")
+    print(f"large point pickled value artifact: "
+          f"{large['value_artifact_bytes'] / 1e6:.2f} MB")
     impls = large["domain_impls"]
     print(f"domain impls (value+icache): python "
           f"{impls['python']['combined_seconds'] * 1000:.0f} ms, numpy "
           f"{impls['numpy']['combined_seconds'] * 1000:.0f} ms "
           f"({large['domain_impl_speedup']:.2f}x)")
+
+    scaling = measure_value_scaling()
+    print("value phase scaling: " + ", ".join(
+        f"depth {depth} {entry['instructions']} instructions "
+        f"{entry['transfers']} transfers "
+        f"{entry['ms_per_transfer']:.4f} ms/transfer"
+        for depth, entry in scaling["depths"].items())
+        + f" (ratio {scaling['ratio']:.2f}, "
+          f"guard {VALUE_SCALING_MAX_RATIO})")
 
     batch = measure_batch_sweep(args.quick)
     print(f"\nbatch sweep ({batch['jobs']} jobs, {batch['matrix']}): "
@@ -432,6 +504,17 @@ def main(argv=None) -> int:
             failures.append(
                 f"large point value phase took {value[counter]} "
                 f"{counter} > budget {budget}")
+    if scaling["ratio"] > VALUE_SCALING_MAX_RATIO:
+        failures.append(
+            f"value phase seconds per transfer at depth "
+            f"{VALUE_SCALING_DEPTHS[1]} are {scaling['ratio']:.2f}x those "
+            f"at depth {VALUE_SCALING_DEPTHS[0]} "
+            f"(guard {VALUE_SCALING_MAX_RATIO}x)")
+    if large["value_artifact_bytes"] > LARGE_MAX_VALUE_ARTIFACT_BYTES:
+        failures.append(
+            f"large point pickled value artifact takes "
+            f"{large['value_artifact_bytes']} bytes "
+            f"> budget {LARGE_MAX_VALUE_ARTIFACT_BYTES}")
     impl_bounds = {impl: entry["wcet_cycles"]
                    for impl, entry in large["domain_impls"].items()}
     if len(set(impl_bounds.values())) != 1:
@@ -501,6 +584,7 @@ def main(argv=None) -> int:
         "value_transfer_budgets": E7_MAX_VALUE_TRANSFERS,
         "quick": args.quick,
         "points": points,
+        "value_scaling": scaling,
         "batch": batch,
         "ok": not failures,
     }

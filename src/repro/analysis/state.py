@@ -16,10 +16,10 @@ concrete semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
-from ..isa.registers import NUM_REGISTERS, SP
-from .domain import AbstractValue
+from ..isa.registers import NUM_REGISTERS, SP, register_name
+from .domain import INT_MAX, INT_MIN, AbstractValue
 
 #: Address ranges wider than this many bytes are not enumerated for
 #: weak updates; the whole overlapped range is havocked instead.
@@ -218,6 +218,27 @@ def _align(address: int) -> int:
     return address & ~3
 
 
+def check_ranges(register_ranges: Optional[Mapping] = None,
+                 memory_ranges: Optional[Mapping] = None) -> None:
+    """Raise :class:`ValueError`, naming the item, for an entry-state
+    range no run can satisfy: a register outside R0..R15, or a register
+    or memory range that is empty or leaves the signed 32-bit word
+    (which :meth:`Interval.range` would otherwise clamp, silently
+    analysing fewer inputs than the caller asked for)."""
+    ranges = [(f"register range for {register_name(register)}", span)
+              for register, span in (register_ranges or {}).items()]
+    ranges += [(f"memory range at 0x{address:x}", span)
+               for address, span in (memory_ranges or {}).items()]
+    for name, (low, high) in ranges:
+        if low > high:
+            raise ValueError(f"{name} is empty: {low} > {high}")
+        if low < INT_MIN or high > INT_MAX:
+            raise ValueError(
+                f"{name} [{low}, {high}] leaves the signed 32-bit range "
+                f"[{INT_MIN}, {INT_MAX}]; give the signed value, e.g. -1 "
+                "for 0xFFFFFFFF")
+
+
 class AbstractState:
     """Register file + flags + memory under one abstract domain.
 
@@ -282,8 +303,11 @@ class AbstractState:
         runs (input buffers) — overriding the binary's initial image,
         so the analysis never treats externally-written data as the
         constants the image happens to contain.  ``memory`` overrides
-        the backing abstract memory (e.g. a vectorized one).
+        the backing abstract memory (e.g. a vectorized one).  A range
+        that is empty or leaves the signed word raises
+        :class:`ValueError` (:func:`check_ranges`).
         """
+        check_ranges(register_ranges, memory_ranges)
         state = cls(domain, memory=memory)
         state._write(SP, domain.const(stack_pointer))
         if initial_memory:

@@ -210,10 +210,16 @@ def analyze_values(graph: TaskGraph,
     impl = value_effective_impl(domain, domain_impl)
     if program is None:
         program = graph.binary.program
-    memory = VectorMemory(domain, AddressSpace()) \
-        if impl == "numpy" else None
+    if impl == "numpy":
+        # The code image is one read-only layer of the address space,
+        # shared by every state; only the other sections are seeded.
+        text = program.text
+        memory = VectorMemory(domain, AddressSpace(text.base, text.data))
+        initial_memory = program.initial_memory(exclude=(text.name,))
+    else:
+        memory, initial_memory = None, program.initial_memory()
     entry_state = AbstractState.entry_state(
-        domain, program.memory_map.stack_base, program.initial_memory(),
+        domain, program.memory_map.stack_base, initial_memory,
         register_ranges, memory_ranges, memory=memory)
     fixpoint = solve_values(graph, entry_state, narrowing_passes,
                             use_widening_thresholds,

@@ -25,7 +25,7 @@ Syntax
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .encoding import INSTRUCTION_SIZE, encode_to_bytes
@@ -44,6 +44,10 @@ class AssemblyError(ValueError):
 
 
 _COND_BRANCHES = {f"B{cond.name}": cond for cond in Cond}
+
+#: Alignment of a ``.data`` section moved past a ``.text`` that grew
+#: into it.
+DATA_RELOCATION_ALIGN = 0x1000
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):")
 _NAME_RE = re.compile(r"^[A-Za-z_.$][\w.$]*$")
@@ -78,32 +82,44 @@ class Assembler:
         self.memory_map = memory_map or MemoryMap()
 
     def assemble(self, source: str) -> Program:
-        text_stmts, data_stmts, symbols, equates, globals_ = (
-            self._pass_one(source))
-        symbols = dict(symbols)
-        symbols.update(equates)
+        layout = self.memory_map
+        text_stmts, data_stmts, symbols, text_end, data_end = (
+            self._pass_one(source, layout))
+        if layout.text_base < data_end and layout.data_base < text_end \
+                and data_end > layout.data_base:
+            # .text has grown into .data: lay .data out again at the
+            # first boundary past .text, and record that base in the
+            # program's memory map (and so in its digests).
+            aligned = -(-text_end // DATA_RELOCATION_ALIGN)
+            layout = replace(layout,
+                             data_base=aligned * DATA_RELOCATION_ALIGN)
+            text_stmts, data_stmts, symbols, text_end, data_end = (
+                self._pass_one(source, layout))
+        if data_end > layout.stack_limit:
+            raise AssemblyError(
+                f".data [0x{layout.data_base:x}, 0x{data_end:x}) reaches "
+                f"the stack limit 0x{layout.stack_limit:x}")
         text_bytes = self._emit_text(text_stmts, symbols)
-        data_bytes = self._emit_data(data_stmts, symbols)
-        sections = [Section(".text", self.memory_map.text_base,
-                            bytes(text_bytes))]
+        data_bytes = self._emit_data(data_stmts, symbols, layout.data_base)
+        sections = [Section(".text", layout.text_base, bytes(text_bytes))]
         if data_bytes:
-            sections.append(Section(".data", self.memory_map.data_base,
+            sections.append(Section(".data", layout.data_base,
                                     bytes(data_bytes)))
-        entry = symbols.get("main", symbols.get("_start",
-                                                self.memory_map.text_base))
-        return Program(sections, symbols, entry, self.memory_map)
+        entry = symbols.get("main", symbols.get("_start", layout.text_base))
+        return Program(sections, symbols, entry, layout)
 
     # -- Pass 1: layout ----------------------------------------------------
 
-    def _pass_one(self, source: str):
+    def _pass_one(self, source: str, layout: MemoryMap):
+        """Statements with their addresses, the symbol table (labels
+        and ``.equ`` names), and the end addresses of .text and .data."""
         in_text = True
-        text_addr = self.memory_map.text_base
-        data_addr = self.memory_map.data_base
+        text_addr = layout.text_base
+        data_addr = layout.data_base
         text_stmts: List[_Statement] = []
         data_stmts: List[_Statement] = []
         symbols: Dict[str, int] = {}
         equates: Dict[str, int] = {}
-        globals_: List[str] = []
 
         for lineno, raw in enumerate(source.splitlines(), start=1):
             line = _strip_comment(raw).strip()
@@ -128,7 +144,7 @@ class Assembler:
                 elif directive == ".data":
                     in_text = False
                 elif directive == ".global":
-                    globals_.append(rest.strip())
+                    pass        # every label is visible already
                 elif directive == ".equ":
                     args = [a.strip() for a in rest.split(",")]
                     if len(args) != 2 or not _NAME_RE.match(args[0]):
@@ -167,7 +183,8 @@ class Assembler:
             text_addr += stmt.size
             text_stmts.append(stmt)
 
-        return text_stmts, data_stmts, symbols, equates, globals_
+        symbols.update(equates)
+        return text_stmts, data_stmts, symbols, text_addr, data_addr
 
     def _instruction_size(self, stmt: _Statement) -> int:
         mnemonic = stmt.mnemonic
@@ -217,10 +234,9 @@ class Assembler:
                 output += encode_to_bytes(instr)
         return output
 
-    def _emit_data(self, stmts: List[_Statement],
-                   symbols: Dict[str, int]) -> bytearray:
+    def _emit_data(self, stmts: List[_Statement], symbols: Dict[str, int],
+                   base: int) -> bytearray:
         output = bytearray()
-        base = self.memory_map.data_base
         for stmt in stmts:
             assert stmt.address == base + len(output), "layout mismatch"
             if stmt.directive == ".word":

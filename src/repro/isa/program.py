@@ -244,10 +244,13 @@ class Program:
 
     # -- Initial memory ---------------------------------------------------
 
-    def initial_memory(self) -> Dict[int, int]:
-        """Word-addressed initial memory contents (little-endian words)."""
+    def initial_memory(self, exclude: Sequence[str] = ()) -> Dict[int, int]:
+        """Word-addressed initial memory contents (little-endian words)
+        of every section not named in ``exclude``."""
         memory: Dict[int, int] = {}
         for section in self.sections:
+            if section.name in exclude:
+                continue
             data = section.data
             for offset in range(0, len(data) - len(data) % 4, 4):
                 word = int.from_bytes(data[offset:offset + 4], "little")

@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Type)
 
-from ..analysis.domain import INT_MAX, INT_MIN, AbstractValue
+from ..analysis.domain import AbstractValue
 from ..domainimpl import resolve_domain_impl, value_effective_impl
 from ..analysis.interval import Interval
 from ..analysis.loopbounds import LoopBound, analyze_loop_bounds
+from ..analysis.state import check_ranges
 from ..analysis.valueanalysis import ValueAnalysisResult, analyze_values
 from ..cache.analysis import (DCacheResult, ICacheResult, analyze_dcache,
                               analyze_icache)
@@ -40,7 +41,6 @@ from ..cfg.builder import BinaryCFG, build_cfg
 from ..cfg.contexts import DEFAULT_POLICY, ContextPolicy
 from ..cfg.expand import NodeId, TaskGraph, expand_task
 from ..isa.program import Program
-from ..isa.registers import register_name
 from ..path.ipet import PathAnalysisResult, analyze_paths
 from ..pipeline.analysis import TimingModel, analyze_pipeline
 
@@ -170,19 +170,10 @@ def validate_annotations(register_ranges: Optional[Mapping] = None,
     run can satisfy: a register outside R0..R15, a register or memory
     range that is empty or leaves the signed 32-bit word, or a loop
     bound below 1.  :func:`phase_plan`, serve requests and the CLI all
-    check annotations here."""
-    ranges = [(f"register range for {register_name(register)}", span)
-              for register, span in (register_ranges or {}).items()]
-    ranges += [(f"memory range at 0x{address:x}", span)
-               for address, span in (memory_ranges or {}).items()]
-    for name, (low, high) in ranges:
-        if low > high:
-            raise ValueError(f"{name} is empty: {low} > {high}")
-        if low < INT_MIN or high > INT_MAX:
-            raise ValueError(
-                f"{name} [{low}, {high}] leaves the signed 32-bit range "
-                f"[{INT_MIN}, {INT_MAX}]; give the signed value, e.g. -1 "
-                "for 0xFFFFFFFF")
+    check annotations here; the ranges through the same
+    :func:`~repro.analysis.state.check_ranges` that
+    :meth:`AbstractState.entry_state` applies."""
+    check_ranges(register_ranges, memory_ranges)
     for address, bound in (manual_loop_bounds or {}).items():
         if bound < 1:
             raise ValueError(f"loop bound for 0x{address:x} must be at "

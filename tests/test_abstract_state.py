@@ -210,9 +210,11 @@ class TestStateLattice:
         built = AbstractState(Interval, [Interval.top()] * 15
                               + [Interval.bottom()])
         assert built.is_bottom()
-        entry = AbstractState.entry_state(Interval, 0x1000,
-                                          register_ranges={2: (5, 4)})
-        assert entry.is_bottom()
+        # An empty entry range is refused rather than analysed as a
+        # bottom (unreachable) task.
+        with pytest.raises(ValueError, match="R2 is empty"):
+            AbstractState.entry_state(Interval, 0x1000,
+                                      register_ranges={2: (5, 4)})
 
     def test_leq_reflexive_and_ordered(self):
         small = fresh_state(R1=(2, 3))

@@ -208,6 +208,25 @@ class TestDataSection:
         with pytest.raises(AssemblyError):
             assemble(".text\n.word 5\n")
 
+    def test_data_moves_past_a_text_that_reaches_it(self):
+        # 7205 instructions from TEXT_BASE end at 0x8094, past
+        # DATA_BASE: .data goes to the next 4 KB boundary instead of
+        # overlapping the code, and the memory map records the move.
+        body = "ADDI R3, R3, #1\n" * 7200
+        source = (f"main: LDA R1, table\nLDR R2, [R1]\n{body}"
+                  "STR R3, [R1, #4]\nHALT\n.data\ntable: .word 5, 0\n")
+        program = assemble(source)
+        text, data = program.text, program.section(".data")
+        assert text.end == TEXT_BASE + 4 * 7205 > DATA_BASE
+        assert data.base == 0x9000 == program.memory_map.data_base
+        assert program.symbols["table"] == data.base
+        assert program.initial_memory()[data.base] == 5
+        assert assemble("main: HALT").memory_map.data_base == DATA_BASE
+
+    def test_data_reaching_the_stack_rejected(self):
+        with pytest.raises(AssemblyError, match="stack limit 0x18000"):
+            assemble(".data\nbuf: .space 0x10004\n")
+
 
 class TestPseudoInstructions:
     def test_lda_materialises_symbol_address(self):

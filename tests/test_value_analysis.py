@@ -298,6 +298,39 @@ class TestEntryAnnotations:
         assert not values.fixpoint.reachable(high)
 
 
+class TestEntryRangeChecks:
+    SIGN_TEST = """
+    main:
+        CMPI R0, #0
+        BLT slow
+        HALT
+    slow:
+        MOVI R1, #1
+        HALT
+    """
+
+    @pytest.mark.parametrize("ranges, message", [
+        ({"register_ranges": {0: (0, 0xFFFFFFFF)}},
+         r"R0 \[0, 4294967295\] leaves the signed 32-bit range"),
+        ({"register_ranges": {0: (5, 4)}}, "R0 is empty"),
+        ({"memory_ranges": {0x8000: (-(1 << 32), 0)}},
+         "0x8000 .* leaves the signed 32-bit range"),
+        ({"memory_ranges": {0x8000: (1, 0)}}, "0x8000 is empty"),
+    ])
+    def test_out_of_word_or_empty_range_refused(self, ranges, message):
+        # Clamping (0, 0xFFFFFFFF) to [0, 2^31-1] would mark the BLT
+        # edge infeasible; the public entry point refuses it instead.
+        with pytest.raises(ValueError, match=message):
+            analyze(self.SIGN_TEST, **ranges)
+
+    def test_signed_range_keeps_the_negative_branch(self):
+        graph, values = analyze(self.SIGN_TEST,
+                                register_ranges={0: (-1, 100)})
+        slow = node_for(graph, assemble(self.SIGN_TEST).symbols["slow"])
+        assert values.fixpoint.reachable(slow)
+        assert values.infeasible_edges == []
+
+
 class TestPrecisionStats:
     def test_all_exact_for_direct_accesses(self):
         source = """

@@ -17,19 +17,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import (AbstractMemory, AbstractState, AddressSpace,
-                            Interval, VectorMemory, compile_block,
-                            transfer_block)
+from repro.analysis import (INT_MAX, INT_MIN, AbstractState, AddressSpace,
+                            Interval, VectorMemory, analyze_values,
+                            compile_block, transfer_block)
 from repro.cache.abstract import Classification, TripleCacheState
 from repro.cache.config import CacheConfig
 from repro.cache.vectorized import (CacheLineIndex, VectorTripleCacheState,
                                     apply_access, classify_access,
                                     compile_access, compile_block_accesses)
+from repro.cfg import build_cfg, expand_task
 from repro.domainimpl import (DEFAULT_DOMAIN_IMPL, DOMAIN_IMPL_ENV,
                               resolve_domain_impl)
 from repro.isa.instructions import Instruction, Opcode
+from repro.lang import compile_program
 from repro.wcet import analyze_wcet
 from repro.workloads.suite import get_workload
+from repro.workloads.synthetic import generate_large_source
 
 
 # -- Canonical forms --------------------------------------------------------
@@ -313,6 +316,155 @@ def test_vector_memory_copy_on_write_identity():
     assert not clone.same_entries(memory)
     assert 0x8004 not in memory.entries
     assert memory.entries[0x8000].signed_bounds() == (7, 7)
+
+
+# -- Image-layer lockstep ---------------------------------------------------
+#
+# analyze_values gives the packed memory the code image as one read-only
+# layer of the address space and seeds only the other sections, while
+# the dict oracle seeds every word.  These tests drive both through the
+# updates that may reach a code word and compare every read.
+
+IMAGE_BASE = 0x1000
+IMAGE_WORDS = [7, -3, 0, INT_MAX, INT_MIN, 42, 0x1234, -1, 5, 6, 7, 8,
+               9, 10, 11, 12]
+IMAGE_END = IMAGE_BASE + 4 * len(IMAGE_WORDS)       # 0x1040
+#: Data words right behind the image, so ranges can span both parts.
+DATA_WORDS = {IMAGE_END + 4 * k: 100 + k for k in range(4)}
+ARENA = (IMAGE_BASE - 8, IMAGE_END + 24)
+
+STRONG_INTO_TEXT = ("strong", IMAGE_BASE + 8, None, Interval(-5, 5))
+WEAK_ACROSS_TEXT_END = ("weak", IMAGE_END - 8, IMAGE_END + 4,
+                        Interval(1000, 1000))
+HAVOC_OVER_TEXT = ("weak", IMAGE_BASE + 0x20 - 0x1001, IMAGE_BASE + 0x20,
+                   Interval(0, 0))      # wider than WEAK_UPDATE_LIMIT
+
+
+def _image_pair(memory_ranges=None):
+    """Entry memories as analyze_values builds them: the dict oracle
+    seeded with image and data, the packed memory over an image layer
+    seeded with the data only."""
+    image = b"".join(word.to_bytes(4, "little", signed=True)
+                     for word in IMAGE_WORDS)
+    everything = {IMAGE_BASE + 4 * index: word & 0xFFFFFFFF
+                  for index, word in enumerate(IMAGE_WORDS)}
+    everything.update(DATA_WORDS)
+    py = AbstractState.entry_state(Interval, 0x20000, everything,
+                                   memory_ranges=memory_ranges)
+    vec = AbstractState.entry_state(
+        Interval, 0x20000, DATA_WORDS, memory_ranges=memory_ranges,
+        memory=VectorMemory(Interval, AddressSpace(IMAGE_BASE, image)))
+    return py.memory, vec.memory
+
+
+def _store(memory, op):
+    kind, lo, hi, value = op
+    memory.store(Interval.const(lo) if kind == "strong"
+                 else Interval(lo, hi), value)
+
+
+def _entries(memory):
+    return {addr: _interval_key(value)
+            for addr, value in memory.entries.items()
+            if not value.is_top()}
+
+
+def _reads_match(py, vec):
+    assert _entries(py) == _entries(vec)
+    for word in range(ARENA[0], ARENA[1] + 1, 4):
+        assert _interval_key(py.load(Interval.const(word))) \
+            == _interval_key(vec.load(Interval.const(word))), hex(word)
+        # A range load spanning image and own words (or untracked ones).
+        span = Interval(word - 6, word + 6)
+        assert _interval_key(py.load(span)) \
+            == _interval_key(vec.load(span)), hex(word)
+
+
+def _lattice_matches(py_a, vec_a, py_b, vec_b):
+    thresholds = (-16, 0, 10, 100)
+    for py, vec in ((py_a.join(py_b), vec_a.join(vec_b)),
+                    (py_a.widen(py_b, thresholds),
+                     vec_a.widen(vec_b, thresholds)),
+                    (py_a.narrow(py_b), vec_a.narrow(vec_b))):
+        _reads_match(py, vec)
+    assert py_a.leq(py_b) == vec_a.leq(vec_b)
+    assert py_b.leq(py_a) == vec_b.leq(vec_a)
+
+
+@pytest.mark.parametrize("op", [STRONG_INTO_TEXT, WEAK_ACROSS_TEXT_END,
+                                HAVOC_OVER_TEXT],
+                         ids=["strong", "weak-across-end", "havoc"])
+def test_image_updates_match_full_image_oracle(op):
+    py_entry, vec_entry = _image_pair()
+    _reads_match(py_entry, vec_entry)
+    py, vec = py_entry.copy(), vec_entry.copy()
+    _store(py, op)
+    _store(vec, op)
+    _reads_match(py, vec)
+    # The entry memory keeps reading the untouched image.
+    _reads_match(py_entry, vec_entry)
+    assert vec_entry._ilo is vec_entry.space.image_lo
+    _lattice_matches(py, vec, py_entry, vec_entry)
+    _lattice_matches(py_entry, vec_entry, py, vec)
+
+
+def test_memory_range_on_a_text_word_matches_oracle():
+    py, vec = _image_pair(memory_ranges={IMAGE_BASE + 4: (0, 9)})
+    _reads_match(py, vec)
+    assert _entries(vec)[IMAGE_BASE + 4] == (False, 0, 9)
+    py_plain, vec_plain = _image_pair()
+    _lattice_matches(py, vec, py_plain, vec_plain)
+    _lattice_matches(py_plain, vec_plain, py, vec)
+
+
+image_ops = st.tuples(
+    st.sampled_from(["strong", "weak", "weak"]),
+    st.integers(*ARENA), st.integers(0, 40),
+    st.one_of(st.builds(lambda lo, width: Interval(lo, lo + width),
+                        small, st.integers(0, 8)),
+              st.just(Interval.bottom()))).map(
+    lambda op: (op[0], op[1], op[1] + op[2], op[3]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(image_ops, max_size=6), st.lists(image_ops, max_size=6),
+       st.booleans())
+def test_image_layer_lockstep(ops_a, ops_b, havoc):
+    """Random strong and weak stores over the arena around the image
+    end (and optionally a havoc over the whole image) keep the packed
+    memory equal to the full-image oracle, under every lattice op."""
+    py_entry, vec_entry = _image_pair()
+    sides = []
+    for ops in (ops_a, ops_b + [HAVOC_OVER_TEXT] * havoc):
+        py, vec = py_entry.copy(), vec_entry.copy()
+        for op in ops:
+            _store(py, op)
+            _store(vec, op)
+        _reads_match(py, vec)
+        sides.append((py, vec))
+    (py_a, vec_a), (py_b, vec_b) = sides
+    _lattice_matches(py_a, vec_a, py_b, vec_b)
+    _lattice_matches(py_b, vec_b, py_a, vec_a)
+
+
+def test_large_point_states_share_one_image():
+    """No state of the large point copies the code image: every entry
+    state references the space's image arrays, and its own arrays hold
+    only data and stack words."""
+    program = compile_program(generate_large_source())
+    graph = expand_task(build_cfg(program))
+    values = analyze_values(graph, domain_impl="numpy")
+    states = [state for state in values.fixpoint.entry_states.values()
+              if not state.is_bottom()]
+    assert len(states) > 500
+    space = states[0].memory.space
+    assert space.image_end - space.image_base == len(program.text.data)
+    for state in states:
+        memory = state.memory
+        assert memory.space is space
+        assert memory._ilo is space.image_lo
+        assert memory._ihi is space.image_hi
+        assert len(memory._lo) <= 128
 
 
 # -- Toggle plumbing --------------------------------------------------------

@@ -33,6 +33,19 @@ class TestStraightLine:
         # Single path: the bound should be exact.
         assert result.wcet_cycles == execution.cycles
 
+    def test_program_past_data_base_keeps_its_data(self):
+        # 7206 instructions: .text runs past DATA_BASE, so .data moves
+        # behind it.  The load reads the data word (not an instruction
+        # word at the same address) and the store does not hit code.
+        body = "ADDI R3, R3, #1\n" * 7200
+        result, execution = wcet_and_run(
+            f"main: LDA R1, table\nLDR R2, [R1]\n{body}"
+            "STR R3, [R1, #4]\nLDR R4, [R1, #4]\nHALT\n"
+            ".data\ntable: .word 5, 0\n")
+        assert execution.register(2) == 5
+        assert execution.register(4) == 7200
+        assert result.wcet_cycles >= execution.cycles
+
     def test_memory_program_exact(self):
         result, execution = wcet_and_run("""
         main:
