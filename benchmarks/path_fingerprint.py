@@ -3,9 +3,12 @@
 One JSON line per point: the 114 ``tests/golden_bounds.json`` matrix
 points, then the large synthetic point under all three policies and
 both timing models.  Each line holds the bound, the LP relaxation
-optimum, integrality, the LP/ILP work counters and a digest of the
-witness's node and edge counts.  Run it on two checkouts and diff the
-outputs to show a path-analysis change is neutral::
+optimum, integrality, the LP/ILP work counters, a digest of the
+witness's node and edge counts, and a digest of the loop structure
+the IPET program was built from (in forest order, each loop's header,
+sorted body, back edges, parent header and loop bound with its
+method).  Run it on two checkouts and diff the outputs to show a
+path-analysis or loop-structure change is neutral::
 
     PYTHONPATH=src python benchmarks/path_fingerprint.py > after.jsonl
     diff before.jsonl after.jsonl
@@ -39,6 +42,16 @@ def _digest(counts) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _loops_digest(result) -> str:
+    rows = []
+    for loop in result.values.loop_forest:
+        bound = result.loop_bounds[loop.header]
+        rows.append((loop.header, sorted(loop.body, key=repr),
+                     loop.back_edges, loop.parent and loop.parent.header,
+                     bound.max_iterations, bound.method))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
 def fingerprint(point: str, result) -> dict:
     stats = vars(result.solver_stats["path"])
     witness = result.path.path
@@ -48,7 +61,8 @@ def fingerprint(point: str, result) -> dict:
             **{name: stats[name] for name in COUNTERS},
             "executed_nodes": len(witness.node_counts),
             "node_counts": _digest(witness.node_counts),
-            "edge_counts": _digest(witness.edge_counts)}
+            "edge_counts": _digest(witness.edge_counts),
+            "loops": _loops_digest(result)}
 
 
 def main() -> int:

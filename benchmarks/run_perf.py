@@ -154,10 +154,13 @@ def measure_point(stages: int, repeat: int) -> Dict:
             "expand_seconds": round(time.perf_counter() - start, 4),
         }
 
+    # Memory counters add up both implementations: the pure-python
+    # AbstractMemory and the numpy VectorMemory (the default).
     state_copies_before = AbstractState.copies
     state_mat_before = AbstractState.materializations
-    memory_copies_before = AbstractMemory.copies
-    memory_mat_before = AbstractMemory.materializations
+    memory_copies_before = AbstractMemory.copies + VectorMemory.copies
+    memory_mat_before = (AbstractMemory.materializations
+                         + VectorMemory.materializations)
     wall_times: List[float] = []
     result = None
     for _ in range(repeat):
@@ -166,8 +169,10 @@ def measure_point(stages: int, repeat: int) -> Dict:
         wall_times.append(time.perf_counter() - start)
     state_copies = AbstractState.copies - state_copies_before
     state_mat = AbstractState.materializations - state_mat_before
-    memory_copies = AbstractMemory.copies - memory_copies_before
-    memory_mat = AbstractMemory.materializations - memory_mat_before
+    memory_copies = (AbstractMemory.copies + VectorMemory.copies
+                     - memory_copies_before)
+    memory_mat = (AbstractMemory.materializations
+                  + VectorMemory.materializations - memory_mat_before)
 
     models = {}
     for model in MODELS:

@@ -27,7 +27,7 @@ from .report import wcet_dot, wcet_report, worst_case_path_table
 from .rta.sweep import parse_geometry
 from .rta.taskset import ORDERINGS
 from .sim import run_program
-from .stack import StackAnalyzer, analyze_stack
+from .stack import StackAnalysisError, StackAnalyzer, analyze_stack
 from .wcet import analyze_wcet
 from .wcet.ait import validate_annotations
 
@@ -129,8 +129,17 @@ def cmd_wcet(args: argparse.Namespace) -> int:
                           context_policy=args.context_policy,
                           pipeline_model=args.pipeline_model,
                           profile=args.profile)
-    stack = StackAnalyzer(program, result.values).analyze()
+    # The timing bound stands on its own: a stack pointer the analysis
+    # cannot bound costs the report only its StackAnalyzer section.
+    stack, stack_error = None, None
+    try:
+        stack = StackAnalyzer(program, result.values).analyze()
+    except StackAnalysisError as exc:
+        stack_error = f"{type(exc).__name__}: {exc}"
     print(wcet_report(result, stack))
+    if stack_error is not None:
+        print(f"repro: warning: no stack bound: {stack_error}",
+              file=sys.stderr)
     if args.profile:
         import pstats
         for phase, prof in result.profiles.items():

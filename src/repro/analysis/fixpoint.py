@@ -6,11 +6,14 @@ Value analysis (:mod:`repro.analysis.solver`), cache analysis
 the same expanded task graph.  This module provides the one engine they
 run on:
 
-* **Weak topological ordering** (Bourdoncle 1993): a hierarchical
-  ordering of the graph whose components are the cyclic regions.  On
-  reducible graphs the component heads coincide with natural-loop
-  headers; irreducible graphs are handled too (any cycle entered other
-  than through its head still ends up inside a component).
+* **Weak topological ordering** (Bourdoncle 1993, built in
+  :mod:`repro.cfg.loops`): a hierarchical ordering of the graph whose
+  components are the cyclic regions.  A task graph computes its WTO
+  once (:meth:`~repro.cfg.expand.TaskGraph.wto`); every phase iterates
+  on it, and the loop forest of loop-bound analysis and IPET is read
+  off it.  Irreducible graphs are handled too (any cycle entered other
+  than through its head still ends up inside a component); only the
+  loop forest needs a reducible graph.
 * **Recursive iteration strategy**: inner components are stabilised
   before the enclosing component is re-entered, and nodes inside a
   component are visited in (weak) topological order, so no downstream
@@ -39,7 +42,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Optional,
-                    Sequence, Set, Tuple)
+                    Sequence, Tuple)
+
+from ..cfg.loops import (WeakTopologicalOrder, WTOComponent, WTOVertex,
+                         weak_topological_order)
 
 #: Safety valve on the transfer evaluations of one kernel run (value
 #: analysis runs the most; cache fixpoints are far smaller).
@@ -69,171 +75,6 @@ class FixpointStats:
     copies: int = 0
     component_iterations: int = 0
     wto_components: int = 0
-
-
-# -- Weak topological ordering -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WTOVertex:
-    """A trivial (acyclic) element of a weak topological order."""
-
-    node: Any
-
-
-@dataclass(frozen=True)
-class WTOComponent:
-    """A cyclic element: head followed by the nested sub-ordering."""
-
-    head: Any
-    elements: Tuple[Any, ...]
-
-
-class WeakTopologicalOrder:
-    """Bourdoncle's hierarchical ordering of a directed graph.
-
-    For every edge ``u -> v`` either ``v`` occurs after ``u`` in the
-    linearisation, or ``v`` is the head of a component containing
-    ``u`` — which is exactly what makes the recursive iteration
-    strategy's stabilisation check (head unchanged => component stable)
-    sound.
-    """
-
-    def __init__(self, elements: Sequence[Any]):
-        self.elements: Tuple[Any, ...] = tuple(elements)
-        self._heads: Set[Any] = set()
-        self._linear: List[Any] = []
-        self._component_count = 0
-        self._flatten(self.elements)
-
-    def _flatten(self, elements: Iterable[Any]) -> None:
-        for element in elements:
-            if isinstance(element, WTOVertex):
-                self._linear.append(element.node)
-            else:
-                self._component_count += 1
-                self._heads.add(element.head)
-                self._linear.append(element.head)
-                self._flatten(element.elements)
-
-    @property
-    def heads(self) -> Set[Any]:
-        """Component heads — the widening points."""
-        return self._heads
-
-    def linear_order(self) -> List[Any]:
-        """The total order underlying the WTO (heads precede bodies)."""
-        return list(self._linear)
-
-    @property
-    def component_count(self) -> int:
-        return self._component_count
-
-    def __repr__(self) -> str:
-        return (f"WeakTopologicalOrder({len(self._linear)} nodes, "
-                f"{self._component_count} components)")
-
-
-def weak_topological_order(entry: Any,
-                           successors: Callable[[Any], Iterable[Any]],
-                           sort_key: Optional[Callable[[Any], Any]] = None
-                           ) -> WeakTopologicalOrder:
-    """Compute Bourdoncle's WTO of the graph reachable from ``entry``.
-
-    This is the classic algorithm built on Tarjan's SCC numbering,
-    converted to an explicit stack so deep graphs cannot overflow the
-    Python recursion limit.  ``sort_key`` fixes the successor visit
-    order, making the resulting WTO (and therefore every counter of a
-    kernel run) deterministic across runs.
-    """
-    succs_cache: Dict[Any, List[Any]] = {}
-
-    def succs(v: Any) -> List[Any]:
-        cached = succs_cache.get(v)
-        if cached is None:
-            cached = list(successors(v))
-            if sort_key is not None:
-                cached.sort(key=sort_key)
-            succs_cache[v] = cached
-        return cached
-
-    INFINITE = float("inf")
-    dfn: Dict[Any, Any] = {}
-    num = 0
-    vertex_stack: List[Any] = []
-    top: List[Any] = []   # top-level partition, built back-to-front
-
-    # Explicit call stack.  A frame is a mutable list:
-    #   [node, succ_iterator, head, loop_flag, partition, mode, sub]
-    # mode "visit" is Bourdoncle's visit(); mode "component" re-visits
-    # the just-popped component members into the fresh ``sub`` list.
-    VISIT, COMPONENT = 0, 1
-    frames: List[list] = []
-
-    def push_visit(v: Any, partition: List[Any]) -> None:
-        nonlocal num
-        num += 1
-        dfn[v] = num
-        vertex_stack.append(v)
-        frames.append([v, iter(succs(v)), num, False, partition,
-                       VISIT, None])
-
-    push_visit(entry, top)
-    returned: Optional[Any] = None
-    while frames:
-        frame = frames[-1]
-        v, it, partition, mode = frame[0], frame[1], frame[4], frame[5]
-        if mode == VISIT:
-            if returned is not None:
-                if returned <= frame[2]:
-                    frame[2] = returned
-                    frame[3] = True
-                returned = None
-            descended = False
-            for w in it:
-                d = dfn.get(w, 0)
-                if d == 0:
-                    push_visit(w, partition)
-                    descended = True
-                    break
-                if d <= frame[2]:
-                    frame[2] = d
-                    frame[3] = True
-            if descended:
-                continue
-            head, loop = frame[2], frame[3]
-            if head == dfn[v]:
-                dfn[v] = INFINITE
-                element = vertex_stack.pop()
-                if loop:
-                    while element != v:
-                        dfn[element] = 0
-                        element = vertex_stack.pop()
-                    frame[1] = iter(succs(v))
-                    frame[5] = COMPONENT
-                    frame[6] = []
-                    continue
-                partition.append(WTOVertex(v))
-            frames.pop()
-            returned = head
-        else:
-            returned = None   # sub-visit return values are ignored
-            sub = frame[6]
-            descended = False
-            for w in it:
-                if dfn.get(w, 0) == 0:
-                    push_visit(w, sub)
-                    descended = True
-                    break
-            if descended:
-                continue
-            sub.reverse()
-            partition.append(WTOComponent(v, tuple(sub)))
-            frames.pop()
-            returned = frame[2]
-
-    top.reverse()
-    return WeakTopologicalOrder(top)
 
 
 # -- Semantics adapter ---------------------------------------------------------
@@ -299,6 +140,11 @@ class FixpointKernel:
     sort_key:
         Node ordering for deterministic successor visits and WTO
         construction; defaults to the graph's insertion order.
+    wto:
+        The graph's weak topological order, built with the same
+        ``sort_key`` — a task graph's cached
+        :meth:`~repro.cfg.expand.TaskGraph.wto`, which every phase
+        shares.  Built here for any other graph.
     """
 
     def __init__(self, entry: Any,
@@ -309,7 +155,8 @@ class FixpointKernel:
                  sort_key: Optional[Callable[[Any], Any]] = None,
                  predecessor_edges: Optional[
                      Callable[[Any], Iterable[Any]]] = None,
-                 edge_source: Optional[Callable[[Any], Any]] = None):
+                 edge_source: Optional[Callable[[Any], Any]] = None,
+                 wto: Optional[WeakTopologicalOrder] = None):
         self.entry = entry
         self.semantics = semantics
         self.widen_delay = widen_delay
@@ -330,11 +177,13 @@ class FixpointKernel:
                     cache[node] = edges
                 return edges
             self._succ_edges = sorted_edges
-        # The WTO walks targets of the (already sorted) edge cache, so
-        # successors are enumerated and ordered only once per node.
-        self.wto = weak_topological_order(
-            entry,
-            lambda n: [edge_target(e) for e in self._succ_edges(n)])
+        if wto is None:
+            # The WTO walks targets of the (already sorted) edge cache,
+            # so successors are enumerated and ordered once per node.
+            wto = weak_topological_order(
+                entry,
+                lambda n: [edge_target(e) for e in self._succ_edges(n)])
+        self.wto = wto
         self.stats = FixpointStats(wto_components=self.wto.component_count)
         self._entries: Dict[Any, Any] = {}
         self._versions: Dict[Any, int] = {}

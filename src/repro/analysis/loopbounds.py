@@ -60,7 +60,7 @@ class LoopBoundAnalysis:
 
     def analyze(self) -> Dict[NodeId, LoopBound]:
         bounds: Dict[NodeId, LoopBound] = {}
-        for loop in self.values.fixpoint.loop_forest:
+        for loop in self.values.loop_forest:
             bounds[loop.header] = self._bound_loop(loop)
         return bounds
 

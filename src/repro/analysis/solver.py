@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cfg.expand import NodeId, TaskEdge, TaskGraph
-from ..cfg.loops import LoopForest, find_loops
 from ..isa.instructions import Opcode
 from .fixpoint import FixpointKernel, FixpointSemantics, FixpointStats
 from .state import AbstractState
@@ -42,7 +41,6 @@ class FixpointResult:
     """Solver output: entry states per node plus iteration statistics."""
 
     entry_states: Dict[NodeId, AbstractState]
-    loop_forest: LoopForest
     #: The abstract state at task entry (before the entry block), kept
     #: for analyses that must distinguish the implicit entry edge from
     #: loop back edges when the entry block heads a loop.
@@ -111,7 +109,6 @@ def solve_values(graph: TaskGraph, entry_state: AbstractState,
     ``compiled_transfer`` runs every block as its fused closure
     (:func:`compile_block`) instead of instruction by instruction.
     """
-    loop_forest = find_loops(graph.entry, graph.adjacency())
     thresholds = tuple(collect_thresholds(graph)) \
         if use_widening_thresholds else ()
     kernel = FixpointKernel(
@@ -120,7 +117,7 @@ def solve_values(graph: TaskGraph, entry_state: AbstractState,
         widen_delay=DEFAULT_WIDEN_DELAY,
         sort_key=TaskGraph.node_key,
         predecessor_edges=graph.predecessors,
-        edge_source=lambda e: e.source)
+        edge_source=lambda e: e.source, wto=graph.wto())
     states = kernel.solve(entry_state)
     if narrowing_passes:
         entry = graph.entry
@@ -130,8 +127,8 @@ def solve_values(graph: TaskGraph, entry_state: AbstractState,
 
         kernel.narrow(narrowing_passes, entry_inputs,
                       order=graph.topological_order())
-    return FixpointResult(states, loop_forest,
-                          task_entry_state=entry_state, stats=kernel.stats)
+    return FixpointResult(states, task_entry_state=entry_state,
+                          stats=kernel.stats)
 
 
 def collect_thresholds(graph: TaskGraph) -> List[int]:

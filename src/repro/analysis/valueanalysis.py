@@ -16,9 +16,11 @@ from the per-point states itself; this module derives nothing for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Type
 
 from ..cfg.expand import NodeId, TaskEdge, TaskGraph
+from ..cfg.loops import LoopForest, find_loops
 from ..domainimpl import value_effective_impl
 from ..isa.instructions import Instruction, Opcode
 from .domain import AbstractValue
@@ -152,6 +154,15 @@ class ValueAnalysisResult:
                 self.infeasible_edges.append(edge)
 
     # -- Queries ---------------------------------------------------------------------
+
+    @cached_property
+    def loop_forest(self) -> LoopForest:
+        """The task's loop forest, read off the graph's WTO on first
+        use.  Loop-bound analysis and IPET read it; the value fixpoint
+        itself does not, so an irreducible graph is analysed and raises
+        :class:`~repro.cfg.loops.IrreducibleLoopError` only here."""
+        graph = self.graph
+        return find_loops(graph.entry, graph.adjacency(), graph.wto())
 
     def state_after_block(self, node: NodeId) -> Optional[AbstractState]:
         entry = self.fixpoint.state_at(node)

@@ -139,7 +139,8 @@ class CacheFixpoint:
         graph = self.graph
         kernel = FixpointKernel(
             graph.entry, graph.successors, lambda e: e.target,
-            _CacheSemantics(self), sort_key=TaskGraph.node_key)
+            _CacheSemantics(self), sort_key=TaskGraph.node_key,
+            wto=graph.wto())
         states = kernel.solve(self.cold_state())
         self.stats = kernel.stats
         return states

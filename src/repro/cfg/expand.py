@@ -32,6 +32,7 @@ from ..isa.instructions import Cond, Opcode
 from .builder import BinaryCFG
 from .contexts import DEFAULT_POLICY, Context, ContextPolicy
 from .graph import BasicBlock, EdgeKind
+from .loops import WeakTopologicalOrder, find_loops, weak_topological_order
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class TaskGraph:
         self._succs: Dict[NodeId, List[TaskEdge]] = {}
         self._preds: Dict[NodeId, List[TaskEdge]] = {}
         self.entry: Optional[NodeId] = None
-        # Derived-structure caches (topological order, adjacency).
+        # Derived-structure caches (topological order, adjacency, WTO).
         # The graph is effectively immutable once expand_task returns,
         # so every analysis phase shares them instead of recomputing
         # per narrowing pass / per solver.  (The predecessor index
@@ -96,6 +97,7 @@ class TaskGraph:
         # served by :meth:`predecessors`.)
         self._topo_cache: Optional[List[NodeId]] = None
         self._adjacency_cache: Optional[Dict[NodeId, List[NodeId]]] = None
+        self._wto_cache: Optional[WeakTopologicalOrder] = None
 
     @staticmethod
     def node_key(node: NodeId) -> Tuple[Context, int]:
@@ -108,6 +110,7 @@ class TaskGraph:
     def _invalidate_caches(self) -> None:
         self._topo_cache = None
         self._adjacency_cache = None
+        self._wto_cache = None
 
     def _add_node(self, node: NodeId, block: BasicBlock,
                   function: int) -> None:
@@ -138,7 +141,8 @@ class TaskGraph:
         return [node for node, edges in self._succs.items() if not edges]
 
     def adjacency(self) -> Dict[NodeId, List[NodeId]]:
-        """Successor map in plain-node form (for dominators/loops).
+        """Successor map in plain-node form (for the WTO and the loop
+        forest).
 
         Cached; callers must treat the result as read-only.
         """
@@ -147,6 +151,19 @@ class TaskGraph:
                 node: [e.target for e in edges]
                 for node, edges in self._succs.items()}
         return self._adjacency_cache
+
+    def wto(self) -> WeakTopologicalOrder:
+        """Weak topological order from the entry, successors visited in
+        :meth:`node_key` order.  Every fixpoint phase iterates on it,
+        and :func:`~repro.cfg.loops.find_loops` reads the loop forest
+        off it.
+
+        Cached; callers must treat the result as read-only.
+        """
+        if self._wto_cache is None:
+            self._wto_cache = weak_topological_order(
+                self.entry, self.adjacency().__getitem__, self.node_key)
+        return self._wto_cache
 
     def function_name(self, node: NodeId) -> str:
         return self.binary.functions[self.function_of[node]].name
@@ -314,9 +331,7 @@ def _peel_loops(graph: TaskGraph, peel: int,
     loop body is duplicated per iteration context as well (virtual
     inlining before virtual unrolling, as in aiT).
     """
-    from .loops import find_loops
-
-    forest = find_loops(graph.entry, graph.adjacency())
+    forest = find_loops(graph.entry, graph.adjacency(), graph.wto())
     if not len(forest):
         return graph
 

@@ -230,7 +230,7 @@ class PathAnalysis:
     def _add_loop_constraints(self, program: LinearProgram,
                               edge_vars, node_vars) -> None:
         unbounded = []
-        for loop in self.values.fixpoint.loop_forest:
+        for loop in self.values.loop_forest:
             bound = self.loop_bounds.get(loop.header)
             if bound is None or not bound.is_bounded:
                 unbounded.append(loop.header)

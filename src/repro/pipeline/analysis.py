@@ -269,7 +269,8 @@ class Krisc5PipelineAnalysis:
         graph = self.graph
         kernel = FixpointKernel(
             graph.entry, graph.successors, lambda e: e.target,
-            _PipelineSemantics(self), sort_key=TaskGraph.node_key)
+            _PipelineSemantics(self), sort_key=TaskGraph.node_key,
+            wto=graph.wto())
         entries = kernel.solve(
             PipeStateSet.initial(self.config.pipeline_state_cap))
         self.fixpoint_stats = kernel.stats

@@ -172,7 +172,7 @@ class BoundChecker:
         bounds = self.wcet.loop_bounds
         allowance: Dict[int, int] = {}
         feasible: Dict[int, bool] = {}
-        for loop in self.wcet.values.fixpoint.loop_forest:
+        for loop in self.wcet.values.loop_forest:
             total = 1
             bounded = True
             node = loop

@@ -305,30 +305,3 @@ class TestLoopDetection:
         forest = find_loops(graph.entry, graph.adjacency())
         # The callee loop is instantiated once per call context.
         assert len(forest) == 2
-
-
-class TestDominators:
-    # Dominance is queried the way loop detection queries it: through
-    # the dominator tree's interval labels.
-    def test_entry_dominates_all(self):
-        from repro.cfg import compute_dominators
-        from repro.cfg.dominators import dominance_numbering
-        binary = build_cfg(assemble(IF_ELSE))
-        graph = expand_task(binary)
-        idom = compute_dominators(graph.entry, graph.adjacency())
-        tin, tout = dominance_numbering(idom)
-        for node in graph.nodes():
-            assert tin[graph.entry] <= tin[node] < tout[graph.entry]
-
-    def test_join_not_dominated_by_branches(self):
-        from repro.cfg import compute_dominators
-        from repro.cfg.dominators import dominance_numbering
-        binary = build_cfg(assemble(IF_ELSE))
-        graph = expand_task(binary)
-        idom = compute_dominators(graph.entry, graph.adjacency())
-        tin, tout = dominance_numbering(idom)
-        symbols = binary.program.symbols
-        join = next(n for n in graph.nodes() if n.block == symbols["join"])
-        less = next(n for n in graph.nodes() if n.block == symbols["less"])
-        assert not tin[less] <= tin[join] < tout[less]
-        assert idom[join] == graph.entry

@@ -8,10 +8,9 @@ counters.  That the kernel's results are sound is checked by
 """
 
 from repro.analysis import analyze_values
-from repro.analysis.fixpoint import (FixpointKernel, FixpointSemantics,
-                                     WTOComponent, WTOVertex,
-                                     weak_topological_order)
+from repro.analysis.fixpoint import FixpointKernel, FixpointSemantics
 from repro.cfg import build_cfg, expand_task
+from repro.cfg.loops import WTOComponent, WTOVertex, weak_topological_order
 from repro.lang import compile_program
 
 
@@ -245,20 +244,6 @@ r = f(3) + f(7); }"""
                                    graph.node_key)
         assert a.elements == b.elements
         assert a.linear_order() == b.linear_order()
-
-
-# -- WTO heads vs natural-loop headers ----------------------------------------
-
-
-def test_wto_heads_match_natural_loop_headers_on_reducible_graph():
-    from repro.cfg.loops import find_loops
-    source = TestDeterminism.SOURCE
-    graph = expand_task(build_cfg(compile_program(source)))
-    succs = graph.adjacency()
-    wto = weak_topological_order(graph.entry, lambda n: succs[n],
-                                 graph.node_key)
-    forest = find_loops(graph.entry, succs)
-    assert wto.heads == forest.headers()
 
 
 # -- Cache analysis runs on the shared kernel ---------------------------------

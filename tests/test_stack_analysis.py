@@ -1,6 +1,8 @@
 """Tests for StackAnalyzer and the OSEK system-level analysis
 (soundness obligation S2)."""
 
+import time
+
 import pytest
 
 from repro.isa import assemble
@@ -10,6 +12,24 @@ from repro.batch import parse_policy
 from repro.stack import (StackAnalysisError, StackAnalyzer, TaskSpec,
                          analyze_stack, analyze_system_stack)
 from repro.workloads.suite import analyze_workload, get_workload
+
+
+#: A loop entered both at its head and in its middle (irreducible),
+#: pushing and popping 8 bytes per iteration.
+IRREDUCIBLE_PUSH_POP = """
+main:
+    CMPI R0, #0
+    BEQ middle
+head:
+    ADDI R1, R1, #1
+middle:
+    PUSH {R1, R2}
+    POP {R1, R2}
+    ADDI R2, R2, #1
+    CMPI R2, #10
+    BLT head
+    HALT
+"""
 
 
 def bound_and_actual(source, arguments=None):
@@ -143,6 +163,39 @@ class TestStackAnalyzer:
     def test_summary_text(self):
         result, _ = bound_and_actual("main: HALT\n")
         assert "stack usage" in result.summary()
+
+    def test_irreducible_loop_gets_a_stack_bound(self):
+        # Value analysis converges on a two-entry loop; only the loop
+        # forest (loop bounds, IPET) needs a reducible graph.
+        result, execution = bound_and_actual(IRREDUCIBLE_PUSH_POP)
+        assert result.bound == 8
+        assert result.bound == execution.max_stack_usage
+
+    def test_irreducible_loop_fails_wcet_in_loopbounds(self):
+        from repro.cfg import IrreducibleLoopError
+        from repro.wcet import analyze_wcet
+
+        with pytest.raises(IrreducibleLoopError) as info:
+            analyze_wcet(assemble(IRREDUCIBLE_PUSH_POP))
+        raised_in = {entry.name for entry in info.traceback}
+        assert "analyze_loop_bounds" in raised_in
+        assert "solve_values" not in raised_in
+
+    def test_irreducible_loop_is_a_serve_job_error(self):
+        from repro.serve import AnalysisService
+
+        service = AnalysisService(workers=1)
+        try:
+            job_id = service.submit({"assembly": IRREDUCIBLE_PUSH_POP})
+            deadline = time.monotonic() + 60
+            while service.job(job_id)["status"] not in ("done", "error"):
+                assert time.monotonic() < deadline, "serve job stuck"
+                time.sleep(0.01)
+            record = service.job(job_id)
+        finally:
+            service.close()
+        assert record["status"] == "error"
+        assert record["error"].startswith("IrreducibleLoopError: ")
 
     @pytest.mark.parametrize("policy", ["full", "klimited", "vivu"])
     def test_wcet_value_artifact_gives_the_same_bound(self, policy):

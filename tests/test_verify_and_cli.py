@@ -25,6 +25,16 @@ loop:
     HALT
 """
 
+#: A task that sets SP from an input register: its timing is bounded,
+#: its stack usage is not.
+FREE_SP_TASK = """
+main:
+    MOV SP, R0
+    PUSH {R1}
+    POP {R1}
+    HALT
+"""
+
 INPUT_TASK = """
 main:
 loop:
@@ -238,6 +248,8 @@ class TestCLI:
         (["wcet", "unbounded.s"], "UnboundedLoopError"),
         (["wcet", "recursive.c"], "ExpansionError"),
         (["stack", "recursive.c"], "ExpansionError"),
+        (["stack", "free_sp.s"], "StackAnalysisError"),
+        (["wcet", "irreducible.s"], "IrreducibleLoopError"),
         (["wcet", "syntax.c"], "ParseError"),
         (["wcet", "nested.c"], "ParseError"),
         (["wcet", "mnemonic.s"], "AssemblyError"),
@@ -252,6 +264,7 @@ class TestCLI:
         (["rta", "boolean.json"], "ValueError"),
         (["rta", "fraction.json"], "ValueError"),
     ], ids=["unbounded-loop", "recursion", "stack-recursion",
+            "stack-free-sp", "irreducible-loop",
             "syntax-error", "deep-nesting", "unknown-mnemonic",
             "missing-source", "missing-taskset", "no-server", "out-of-fuel",
             "unknown-workload", "unknown-workload-sweep",
@@ -268,6 +281,11 @@ class TestCLI:
             "nested.c": "int r; void main() { r = "
                         + "(" * 500 + "1" + ")" * 500 + "; }\n",
             "mnemonic.s": "main:\n    FROB R1, R2\n    HALT\n",
+            "free_sp.s": FREE_SP_TASK,
+            "irreducible.s": "main:\n    CMPI R0, #0\n    BEQ middle\n"
+                             "head:\n    ADDI R1, R1, #1\n"
+                             "middle:\n    ADDI R2, R2, #1\n"
+                             "    CMPI R2, #10\n    BLT head\n    HALT\n",
             "task.c": "int r;\nvoid main() { int i; "
                       "for (i = 0; i < 5; i = i + 1) { r = r + i; } }\n",
             "nosuch.json": one_task_set(workload="nosuch"),
@@ -313,6 +331,21 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("repro: error: OSError: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_wcet_reports_bound_when_stack_pointer_is_unbounded(
+            self, tmp_path, capsys):
+        # `repro stack` refuses this task (exit 1, see above); `repro
+        # wcet` still prints its timing bound, without the
+        # StackAnalyzer section, and says why on one line.
+        path = tmp_path / "free_sp.s"
+        path.write_text(FREE_SP_TASK)
+        assert cli_main(["wcet", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "==> WCET BOUND: 34 cycles" in captured.out
+        assert "StackAnalyzer" not in captured.out
+        assert captured.err == (
+            "repro: warning: no stack bound: StackAnalysisError: stack "
+            "pointer unbounded in block <root:0x1000>\n")
 
     def test_wcet_runs_value_analysis_once(self, c_file, monkeypatch,
                                            capsys):
