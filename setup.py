@@ -13,7 +13,9 @@ setup(
     extras_require={
         # Everything the test suite needs, on every CI matrix leg:
         # hypothesis drives the fuzz matrices in
-        # tests/test_random_programs.py and tests/test_ilp_sparse.py.
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+        # tests/test_random_programs.py and tests/test_ilp_sparse.py,
+        # and scipy's linprog and milp are the external LP and ILP
+        # oracles of tests/test_ilp.py.
+        "test": ["pytest", "pytest-benchmark", "hypothesis", "scipy"],
     },
 )

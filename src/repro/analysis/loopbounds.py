@@ -84,7 +84,7 @@ class LoopBoundAnalysis:
         affine = self._affine_bound(loop)
         if affine is not None:
             return LoopBound(loop.header, affine, "affine")
-        if not loop.children:
+        if self.values.loop_forest.is_innermost(loop):
             unrolled = self._unroll_bound(loop)
             if unrolled is not None:
                 return LoopBound(loop.header, unrolled, "unroll")

@@ -32,7 +32,8 @@ from ..isa.instructions import Cond, Opcode
 from .builder import BinaryCFG
 from .contexts import DEFAULT_POLICY, Context, ContextPolicy
 from .graph import BasicBlock, EdgeKind
-from .loops import WeakTopologicalOrder, find_loops, weak_topological_order
+from .loops import (WeakTopologicalOrder, _postorder, find_loops,
+                    weak_topological_order)
 
 
 @dataclass(frozen=True)
@@ -196,27 +197,9 @@ class TaskGraph:
         every narrowing pass); callers must treat it as read-only.
         """
         if self._topo_cache is None:
-            self._topo_cache = self._compute_topological_order()
+            self._topo_cache = _postorder(self.entry,
+                                          self.adjacency())[::-1]
         return self._topo_cache
-
-    def _compute_topological_order(self) -> List[NodeId]:
-        visited: Set[NodeId] = {self.entry}
-        order: List[NodeId] = []
-        stack = [(self.entry, iter(self._succs[self.entry]))]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for edge in it:
-                if edge.target not in visited:
-                    visited.add(edge.target)
-                    stack.append(
-                        (edge.target, iter(self._succs[edge.target])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-        return list(reversed(order))
 
     def __repr__(self) -> str:
         return (f"TaskGraph({self.node_count()} nodes, "

@@ -202,8 +202,10 @@ class Loop:
     header: Node
     body: Set[Node] = field(default_factory=set)
     back_edges: List[Tuple[Node, Node]] = field(default_factory=list)
+    #: The innermost enclosing loop.  Loops link only outward, so a
+    #: forest holds no reference cycle and is freed by reference
+    #: counting.
     parent: Optional["Loop"] = None
-    children: List["Loop"] = field(default_factory=list)
 
     @property
     def depth(self) -> int:
@@ -231,9 +233,15 @@ class LoopForest:
     def __init__(self, loops: List[Loop]):
         self.loops = loops
         self._by_header = {loop.header: loop for loop in loops}
+        self._outer_headers = {loop.parent.header for loop in loops
+                               if loop.parent is not None}
 
     def loop_of_header(self, header: Node) -> Optional[Loop]:
         return self._by_header.get(header)
+
+    def is_innermost(self, loop: Loop) -> bool:
+        """Whether no loop of the forest nests inside ``loop``."""
+        return loop.header not in self._outer_headers
 
     def __len__(self) -> int:
         return len(self.loops)
@@ -261,7 +269,7 @@ def find_loops(entry: Node, succs: Dict[Node, List[Node]],
     the header are the back edges.  Loops and back edges come in a
     fixed order: nodes in DFS postorder from ``entry``, each node's
     successors in ``succs`` order, and a loop when its first back edge
-    is met; a loop's children come in that order too.
+    is met.
 
     An edge that enters a component other than through its head raises
     :class:`IrreducibleLoopError` naming the edge and the header.
@@ -297,7 +305,6 @@ def find_loops(entry: Node, succs: Dict[Node, List[Node]],
         outer = enclosing[loop.header]
         if outer is not None:
             loop.parent = loops[outer]
-            loop.parent.children.append(loop)
     return LoopForest(forest)
 
 

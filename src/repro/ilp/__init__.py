@@ -3,9 +3,9 @@
 The hot path is the staged sparse engine: :func:`presolve` shrinks the
 program, :class:`~repro.ilp.revised.RevisedSimplex` solves it on sparse
 data with native variable bounds, and :func:`solve_ilp` branches on
-bounds with warm-started dual re-optimisation.  The historical dense
-tableau (:func:`solve_lp_dense`) is retained as the differential-test
-oracle.
+bounds, solving every node as one more :func:`solve_lp`.  The
+historical dense tableau (:func:`solve_lp_dense`) is retained as the
+differential-test oracle.
 """
 
 from .branchbound import solve_ilp

@@ -1,32 +1,33 @@
-"""Branch-and-bound integer programming on top of the revised simplex.
+"""Branch-and-bound integer programming on top of the LP solver.
 
 IPET relaxations are network-flow-like and usually integral; when they
 are not, branch and bound recovers the exact integer optimum.  Because
 IPET *maximises*, any LP relaxation value is itself a sound WCET bound,
 so the solver can also be used in relaxation-only mode.
 
-Branching is on *variable bounds*, which the bounded-variable revised
-simplex handles natively: a child node tightens one bound, the parent's
-optimal basis stays dual-feasible, and the node is re-optimised by a
-handful of dual simplex pivots from the parent basis (a warm start)
-instead of a two-phase cold solve.  The parent basis is snapshotted
-once and shared by both children; nodes whose dual re-optimisation
-stalls numerically fall back to a cold solve.
+Branching is on *variable bounds*: a child node tightens one integer
+variable's bounds to either side of its fractional value.  Every node,
+the root included, is one plain :func:`~repro.ilp.simplex.solve_lp` of
+the program with the branched variables' bounds tightened (presolve,
+cold two-phase revised simplex, postsolve), so there is one LP engine
+and nothing carries from node to node.  Integrality is checked on the
+full postsolved solution, variables that presolve eliminated included.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from .model import LinearProgram, Solution
-from .presolve import presolve
-from .revised import CoreLP, RevisedSimplex
+from .simplex import solve_lp
 from .stats import ILPStats
 
 _INT_TOLERANCE = 1e-6
+
+#: Branched bounds of one node: variable index -> (lower, upper), with
+#: upper None when the variable is unbounded above.
+_Bounds = Dict[int, Tuple[float, Optional[float]]]
 
 
 def solve_ilp(program: LinearProgram, max_nodes: int = 10_000,
@@ -40,98 +41,52 @@ def solve_ilp(program: LinearProgram, max_nodes: int = 10_000,
     sound for WCET).
     """
     stats = stats if stats is not None else ILPStats()
-
-    pre = presolve(program, stats, integral=True)
-    if pre.status == "infeasible":
-        return Solution("infeasible")
-    if pre.num_rows == 0:
-        if pre.unbounded_pending:
-            return Solution("unbounded")
-        if pre.fractional_int_fix:
-            return Solution("infeasible")
-        stats.bb_nodes += 1
-        return _rounded(program, pre.postsolve(()))
-
-    core = CoreLP(pre)
-    simplex = RevisedSimplex(core, stats)
-    status = simplex.solve_two_phase()
-    stats.cold_solves += 1
-    if status != "optimal":
-        return Solution(status)
-    if pre.unbounded_pending:
-        return Solution("unbounded")
-    if pre.fractional_int_fix:
-        return Solution("infeasible")
-
-    int_cols = np.flatnonzero(pre.is_integer)
-
-    incumbent_obj: Optional[float] = None
-    incumbent_vals: Optional[np.ndarray] = None
-
-    # Each node: cumulative original-space bound overrides for branched
-    # columns, and the parent's basis snapshot (None = root, already
-    # solved in ``simplex``).
-    Node = Tuple[Dict[int, Tuple[float, float]], Optional[tuple]]
-    stack = [({}, None)]  # type: list[Node]
+    incumbent: Optional[Solution] = None
+    stack: List[_Bounds] = [{}]
     nodes = 0
 
     while stack:
-        delta, snap = stack.pop()
+        bounds = stack.pop()
         nodes += 1
         stats.bb_nodes += 1
         if nodes > max_nodes:
             raise RuntimeError("branch-and-bound node budget exhausted")
 
-        if snap is None:
-            solved = True             # root: solved above
-        else:
-            simplex.restore(snap)
-            for col, (lo, hi) in delta.items():
-                clo, chi = core.set_structural_bounds(col, lo, hi)
-                simplex.lower[col] = clo
-                simplex.upper[col] = chi
-            outcome = simplex.reoptimize_dual()
-            if outcome == "fallback":
-                simplex = RevisedSimplex(core, stats)
-                for col, (lo, hi) in delta.items():
-                    clo, chi = core.set_structural_bounds(col, lo, hi)
-                    simplex.lower[col] = clo
-                    simplex.upper[col] = chi
-                outcome = simplex.solve_two_phase()
-                stats.cold_solves += 1
-            else:
-                stats.warm_start_hits += 1
-            solved = outcome == "optimal"
-        if not solved:
+        relaxation = solve_lp(_with_bounds(program, bounds), stats)
+        if relaxation.status == "unbounded":
+            # Only the root can be: a child restricts a bounded LP.
+            return relaxation
+        if not relaxation.is_optimal:
             continue                  # infeasible subtree
-
-        values = simplex.structural_values()
-        # Full-program objective (postsolve replays presolve's variable
-        # eliminations, so every folded-out term is accounted exactly).
-        objective = pre.postsolve(values).objective
-        if incumbent_obj is not None and \
-                objective <= incumbent_obj + 1e-9:
+        if incumbent is not None and \
+                relaxation.objective <= incumbent.objective + 1e-9:
             continue                  # cannot beat the incumbent
 
-        fractional = _most_fractional(int_cols, values)
+        fractional = _most_fractional(program, relaxation)
         if fractional is None:
-            incumbent_obj = objective
-            incumbent_vals = values.copy()
+            incumbent = relaxation
             continue
-        col, value = fractional
-        cur_lo, cur_hi = delta.get(
-            col, (float(pre.lower[col]), float(pre.upper[col])))
-        parent_snap = simplex.snapshot()
-        stack.append(({**delta, col: (float(math.ceil(value)), cur_hi)},
-                      parent_snap))
-        stack.append(({**delta, col: (cur_lo, float(math.floor(value)))},
-                      parent_snap))
+        index, value = fractional
+        variable = program.variables[index]
+        lower, upper = bounds.get(index, (variable.lower, variable.upper))
+        stack.append({**bounds, index: (float(math.ceil(value)), upper)})
+        stack.append({**bounds, index: (lower, float(math.floor(value)))})
 
-    if incumbent_vals is None:
+    if incumbent is None:
         return Solution("infeasible")
-    solution = pre.postsolve(incumbent_vals)
-    return Solution("optimal", incumbent_obj,
-                    _rounded(program, solution).values)
+    return _rounded(program, incumbent)
+
+
+def _with_bounds(program: LinearProgram, bounds: _Bounds) -> LinearProgram:
+    """``program`` with the branched variables' bounds replaced."""
+    node = LinearProgram(program.name)
+    for variable in program.variables:
+        lower, upper = bounds.get(variable.index,
+                                  (variable.lower, variable.upper))
+        node.add_variable(variable.name, lower, upper, variable.is_integer)
+    node.constraints = program.constraints
+    node.objective = program.objective
+    return node
 
 
 def _rounded(program: LinearProgram, solution: Solution) -> Solution:
@@ -140,14 +95,16 @@ def _rounded(program: LinearProgram, solution: Solution) -> Solution:
     return Solution(solution.status, solution.objective, values)
 
 
-def _most_fractional(int_cols: np.ndarray,
-                     values: np.ndarray) -> Optional[Tuple[int, float]]:
+def _most_fractional(program: LinearProgram,
+                     solution: Solution) -> Optional[Tuple[int, float]]:
     best: Optional[Tuple[int, float]] = None
     best_score = _INT_TOLERANCE
-    for col in int_cols:
-        value = float(values[col])
+    for variable in program.variables:
+        if not variable.is_integer:
+            continue
+        value = solution.values[variable.index]
         score = abs(value - round(value))
         if score > best_score:
             best_score = score
-            best = (int(col), value)
+            best = (variable.index, value)
     return best

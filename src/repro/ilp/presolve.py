@@ -52,7 +52,6 @@ class PresolvedLP:
     rows: List[Tuple[Dict[int, float], Sense, float]]
     lower: np.ndarray
     upper: np.ndarray
-    is_integer: np.ndarray
     objective: np.ndarray
     #: Values of eliminated variables, by original index.
     fixed_values: Dict[int, float] = field(default_factory=dict)
@@ -60,9 +59,6 @@ class PresolvedLP:
     #: order applied; postsolve replays them in reverse.
     substitutions: List[Tuple[int, float, float, int]] = \
         field(default_factory=list)
-    #: True if an *integer* variable was pinned to a fractional value
-    #: (the LP is still valid; the ILP is infeasible).
-    fractional_int_fix: bool = False
 
     @property
     def num_rows(self) -> int:
@@ -84,39 +80,22 @@ class PresolvedLP:
         return Solution("optimal", float(objective), values)
 
 
-def _substitute_doubleton(i, rows, col_rows, lower, upper, is_integer,
-                          objective, integral, substitutions,
-                          round_bounds) -> bool:
+def _substitute_doubleton(i, rows, col_rows, lower, upper, objective,
+                          substitutions) -> bool:
     """Eliminate one variable of the doubleton equality ``rows[i]``
     (``a x_e + b x_k = rhs``) as ``x_e = alpha + beta x_k``.
 
     Only coefficients of magnitude one qualify for elimination (IPET
-    rows always are; it also keeps the arithmetic exact), and under
-    ``integral`` the relation must map integers to integers.  Returns
+    rows always are; it also keeps the arithmetic exact).  Returns
     False if no variable qualifies.  The eliminated variable's bounds
     are transferred to the keeper; the caller checks the transfer for
     infeasibility.
     """
     coeffs, _sense, rhs = rows[i]
     (v1, a1), (v2, a2) = coeffs.items()
-
-    def eliminable(idx, coeff, other_idx, other_coeff):
-        if abs(abs(coeff) - 1.0) > _TOL:
-            return False
-        if integral and is_integer[idx]:
-            alpha = rhs / coeff
-            beta = -other_coeff / coeff
-            if not is_integer[other_idx]:
-                return False
-            if abs(alpha - round(alpha)) > _TOL or \
-                    abs(beta - round(beta)) > _TOL:
-                return False
-        return True
-
     candidates = [(idx, coeff, other)
-                  for idx, coeff, other, oc
-                  in ((v1, a1, v2, a2), (v2, a2, v1, a1))
-                  if eliminable(idx, coeff, other, oc)]
+                  for idx, coeff, other in ((v1, a1, v2), (v2, a2, v1))
+                  if abs(abs(coeff) - 1.0) <= _TOL]
     if not candidates:
         return False
     # Eliminate the variable that appears in fewer rows (less fill-in);
@@ -136,7 +115,6 @@ def _substitute_doubleton(i, rows, col_rows, lower, upper, is_integer,
         keep_hi = (lower[elim] - alpha) / beta
     lower[keep] = max(lower[keep], keep_lo)
     upper[keep] = min(upper[keep], keep_hi)
-    round_bounds(keep)
 
     # Replace x_elim in every other row that mentions it.
     for r in col_rows.get(elim, ()):
@@ -166,30 +144,12 @@ def _substitute_doubleton(i, rows, col_rows, lower, upper, is_integer,
 
 
 def presolve(program: LinearProgram,
-             stats: Optional[ILPStats] = None,
-             integral: bool = False) -> PresolvedLP:
-    """Reduce ``program``; exact — optimum value is preserved.
-
-    With ``integral=True`` (the ILP entry point) bounds derived for
-    integer variables are rounded to the nearest contained integer —
-    exact for the *integer* program, but a strict tightening of the LP
-    relaxation, so the pure-LP callers must leave it off.
-    """
+             stats: Optional[ILPStats] = None) -> PresolvedLP:
+    """Reduce ``program``; exact — optimum value is preserved."""
     n = program.num_variables
     lower = np.array([v.lower for v in program.variables], dtype=float)
     upper = np.array([np.inf if v.upper is None else v.upper
                       for v in program.variables], dtype=float)
-    is_integer = np.array([v.is_integer for v in program.variables],
-                          dtype=bool)
-
-    def round_bounds(idx: int) -> None:
-        if integral and is_integer[idx]:
-            lower[idx] = np.ceil(lower[idx] - 1e-6)
-            if np.isfinite(upper[idx]):
-                upper[idx] = np.floor(upper[idx] + 1e-6)
-
-    for idx in range(n):
-        round_bounds(idx)
     objective = np.zeros(n)
     for idx, coeff in program.objective.items():
         objective[idx] = coeff
@@ -264,17 +224,11 @@ def presolve(program: LinearProgram,
                             bound > upper[idx] + _FEAS_TOL:
                         infeasible = True
                         break
-                    if integral and is_integer[idx] and \
-                            abs(bound - round(bound)) > 1e-6:
-                        infeasible = True
-                        break
                     lower[idx] = upper[idx] = bound
                 elif (sense is Sense.LE) == (a > 0):   # a*x <= rhs, a>0
                     upper[idx] = min(upper[idx], bound)
-                    round_bounds(idx)
                 else:
                     lower[idx] = max(lower[idx], bound)
-                    round_bounds(idx)
                 if lower[idx] > upper[idx] + _FEAS_TOL:
                     infeasible = True
                     break
@@ -285,8 +239,8 @@ def presolve(program: LinearProgram,
 
             if sense is Sense.EQ and len(coeffs) == 2:
                 if _substitute_doubleton(
-                        i, rows, col_rows, lower, upper, is_integer,
-                        objective, integral, substitutions, round_bounds):
+                        i, rows, col_rows, lower, upper, objective,
+                        substitutions):
                     substituted.add(substitutions[-1][0])
                     rows_removed += 1
                     changed = True
@@ -333,7 +287,6 @@ def presolve(program: LinearProgram,
 
     # Empty columns: pick the bound the objective prefers.
     unbounded_pending = False
-    fractional_int_fix = False
     for idx in range(n):
         if idx in fixed or idx in referenced or idx in substituted:
             continue
@@ -345,10 +298,6 @@ def presolve(program: LinearProgram,
             fixed[idx] = upper[idx]
         else:
             fixed[idx] = lower[idx]
-
-    for idx, value in fixed.items():
-        if is_integer[idx] and abs(value - round(value)) > 1e-6:
-            fractional_int_fix = True
 
     kept = sorted(referenced)
     core_of = {orig: col for col, orig in enumerate(kept)}
@@ -367,8 +316,6 @@ def presolve(program: LinearProgram,
         rows=core_rows,
         lower=lower[kept] if kept else np.zeros(0),
         upper=upper[kept] if kept else np.zeros(0),
-        is_integer=is_integer[kept] if kept else np.zeros(0, dtype=bool),
         objective=objective[kept] if kept else np.zeros(0),
         fixed_values=fixed,
-        substitutions=substitutions,
-        fractional_int_fix=fractional_int_fix)
+        substitutions=substitutions)

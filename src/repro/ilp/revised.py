@@ -7,9 +7,9 @@ by the ratio test (nonbasic-at-upper states and bound flips) instead of
 being expanded into extra constraint rows.  Pricing is Dantzig (most
 negative reduced cost) with Bland's rule as a degeneracy fallback, so
 the common case pays for the cheap rule and cycling is still
-impossible.  The dual simplex entry point re-optimises after bound
-changes from a still-dual-feasible basis — the warm start that makes
-branch-and-bound nodes cheap.
+impossible.  Every solve is a cold two-phase primal solve from the
+slack/artificial basis; branch and bound re-solves each node as a
+plain LP.
 
 The kernels touch only what a pivot uses.  IPET columns have one to
 three nonzeros and ``w = B^-1 a_j`` is nearly as sparse, so:
@@ -129,12 +129,6 @@ class CoreLP:
         self.upper = np.full(self.ncols, np.inf)
         self.upper[:n] = pre.upper - self.shift
 
-    def set_structural_bounds(self, col: int, lo: float,
-                              hi: float) -> Tuple[float, float]:
-        """Shift original-space bounds of a structural column into core
-        space (callers assign the result into a solver's arrays)."""
-        return lo - self.shift[col], hi - self.shift[col]
-
 
 class RevisedSimplex:
     """One solver instance: mutable bounds + basis over a CoreLP."""
@@ -158,19 +152,6 @@ class RevisedSimplex:
         self.y = np.zeros(core.m)
 
     # -- Basis bookkeeping ---------------------------------------------------
-
-    def snapshot(self):
-        return (self.basis.copy(), self.vstat.copy(), self.Binv.copy(),
-                self.lower.copy(), self.upper.copy())
-
-    def restore(self, snap) -> None:
-        basis, vstat, binv, lower, upper = snap
-        self.basis = basis.copy()
-        self.vstat = vstat.copy()
-        self.Binv = binv.copy()
-        self.lower = lower.copy()
-        self.upper = upper.copy()
-        self.xB = self._compute_xB()
 
     def _nonbasic_values(self) -> np.ndarray:
         x = np.where(self.vstat == NB_UPPER,
@@ -344,71 +325,3 @@ class RevisedSimplex:
         self._pivot(r, j, w, dj, NB_LOWER if coef[k] < 0 else NB_UPPER)
         self.xB[r] = entering_value
         return row_min
-
-    # -- Dual simplex (warm-started re-optimisation) -------------------------
-
-    def reoptimize_dual(self, max_iterations: int = 2_000) -> str:
-        """Re-optimise after bound changes, starting from the current
-        (still dual-feasible) basis.  Returns "optimal", "infeasible",
-        or "fallback" when the caller should cold-start instead."""
-        core = self.core
-        if np.any(self.lower > self.upper + _FEAS_TOL):
-            return "infeasible"
-        c = core.c
-        self.xB = self._compute_xB()
-        self.y = self._duals(c)
-        self._keep_accurate(c)
-        for _ in range(max_iterations):
-            lowB = self.lower[self.basis]
-            upB = self.upper[self.basis]
-            viol_low = lowB - self.xB
-            viol_up = self.xB - upB
-            viol = np.maximum(viol_low, viol_up)
-            worst = float(viol.max()) if core.m else 0.0
-            if worst <= _FEAS_TOL:
-                return "optimal"
-            rows = np.flatnonzero(viol >= worst - _DUAL_TOL)
-            r = int(rows[np.argmin(self.basis[rows])])
-            below = viol_low[r] >= viol_up[r]
-
-            alpha = core.A.t_dot(self.Binv[r, :])
-            # Leaving at its violated bound; entering must move x_Br
-            # toward it.  Folding the direction into alpha unifies the
-            # below/above cases (see dual ratio test derivation).
-            alpha_dir = alpha if below else -alpha
-            movable = self.upper > self.lower
-            at_lower = (self.vstat == NB_LOWER) & movable & \
-                (alpha_dir < -_PIVOT_TOL)
-            at_upper = (self.vstat == NB_UPPER) & movable & \
-                (alpha_dir > _PIVOT_TOL)
-            eligible = np.flatnonzero(at_lower | at_upper)
-            if len(eligible) == 0:
-                return "infeasible"
-
-            d = c - core.A.t_dot(self.y)
-            # Clamp tiny dual infeasibilities so ratios stay >= 0.
-            dd = np.where(self.vstat == NB_LOWER,
-                          np.minimum(d, 0.0), np.maximum(d, 0.0))
-            ratios = dd[eligible] / alpha_dir[eligible]
-            best = float(ratios.min())
-            ties = eligible[np.flatnonzero(ratios <= best + _DUAL_TOL)]
-            j = int(ties[0])
-
-            w = self._ftran(j)
-            if abs(w[r]) < _PIVOT_TOL:
-                return "fallback"
-            # Primal step: x_j moves until x_Br sits on its violated
-            # bound, and the other basics move along -w.
-            target = lowB[r] if below else upB[r]
-            theta = (self.xB[r] - target) / w[r]
-            entering_value = (self.lower[j] if self.vstat[j] == NB_LOWER
-                              else self.upper[j]) + theta
-            moved = np.flatnonzero(w)
-            self.xB[moved] -= theta * w[moved]
-            self._pivot(r, j, w, float(d[j]),
-                        NB_LOWER if below else NB_UPPER)
-            self.xB[r] = entering_value
-            self.stats.pivots += 1
-            self.stats.dual_pivots += 1
-            self._keep_accurate(c)
-        return "fallback"

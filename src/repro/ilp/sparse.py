@@ -6,8 +6,7 @@ node's incident edges), so the solver never materialises the dense
 coordinate form (for the two matrix-vector products the revised
 simplex needs) and once column-sliced (CSC, for pulling single columns
 into the basis routines).  Both layouts are immutable after
-construction — bound changes in branch-and-bound never touch the
-matrix itself.
+construction.
 """
 
 from __future__ import annotations

@@ -87,6 +87,51 @@ class _Temp:
         self.pinned = False
 
 
+def _calls(stmt: ast.Stmt) -> bool:
+    """Whether ``stmt`` calls a function anywhere inside it."""
+    for attr in ("initializer", "value", "condition", "expression"):
+        if _expr_calls(getattr(stmt, attr, None)):
+            return True
+    if isinstance(stmt, ast.Assignment) and \
+            isinstance(stmt.target, ast.ArrayRef) and \
+            _expr_calls(stmt.target.index):
+        return True
+    for attr in ("then_body", "else_body", "body"):
+        if any(_calls(inner) for inner in getattr(stmt, attr, [])):
+            return True
+    return any(_calls(inner)
+               for inner in (getattr(stmt, "init", None),
+                             getattr(stmt, "update", None))
+               if inner is not None)
+
+
+def _expr_calls(expr: Optional[ast.Expr]) -> bool:
+    if isinstance(expr, ast.Call):
+        return True
+    if isinstance(expr, ast.Unary):
+        return _expr_calls(expr.operand)
+    if isinstance(expr, ast.Binary):
+        return _expr_calls(expr.left) or _expr_calls(expr.right)
+    if isinstance(expr, ast.ArrayRef):
+        return _expr_calls(expr.index)
+    return False
+
+
+def _declarations(statements):
+    """``(name, array size or None, line)`` of every local that
+    ``statements`` declare, in the order homes are assigned: source
+    order, except that a ``for`` header's declaration follows the loop
+    body."""
+    for stmt in statements:
+        if isinstance(stmt, ast.Declaration):
+            yield stmt.name, stmt.array_size, stmt.line
+        for attr in ("then_body", "else_body", "body"):
+            yield from _declarations(getattr(stmt, attr, []))
+        init = getattr(stmt, "init", None)
+        if isinstance(init, ast.Declaration):
+            yield init.name, None, init.line
+
+
 class FunctionCodegen:
     """Generates the body of a single function."""
 
@@ -102,7 +147,7 @@ class FunctionCodegen:
         self.used_var_regs: Set[int] = set()
         self.spill_depth = 0                  # bytes pushed by spills
         self.loop_stack: List[Tuple[str, str]] = []   # (continue, break)
-        self.makes_calls = self._contains_call(function.body)
+        self.makes_calls = any(_calls(stmt) for stmt in function.body)
         self.is_main = function.name == "main"
 
     # -- Helpers --------------------------------------------------------------
@@ -116,88 +161,27 @@ class FunctionCodegen:
     def new_label(self) -> str:
         return self.unit.new_label()
 
-    def _contains_call(self, statements) -> bool:
-        found = False
-
-        def walk_expr(expr):
-            nonlocal found
-            if expr is None or found:
-                return
-            if isinstance(expr, ast.Call):
-                found = True
-                return
-            if isinstance(expr, ast.Unary):
-                walk_expr(expr.operand)
-            elif isinstance(expr, ast.Binary):
-                walk_expr(expr.left)
-                walk_expr(expr.right)
-            elif isinstance(expr, ast.ArrayRef):
-                walk_expr(expr.index)
-
-        def walk_stmt(stmt):
-            if found:
-                return
-            for attr in ("initializer", "value", "condition",
-                         "expression"):
-                walk_expr(getattr(stmt, attr, None))
-            if isinstance(stmt, ast.Assignment):
-                walk_expr(stmt.target.index
-                          if isinstance(stmt.target, ast.ArrayRef)
-                          else None)
-            for attr in ("then_body", "else_body", "body"):
-                for inner in getattr(stmt, attr, []):
-                    walk_stmt(inner)
-            for attr in ("init", "update"):
-                inner = getattr(stmt, attr, None)
-                if inner is not None:
-                    walk_stmt(inner)
-
-        for statement in statements:
-            walk_stmt(statement)
-        return found
-
     # -- Homes ----------------------------------------------------------------------
 
     def _assign_homes(self) -> None:
         registers = list(VARIABLE_REGISTERS)
         stack_cursor = 0
-
-        def place_scalar(name: str, line: int) -> None:
-            nonlocal stack_cursor
+        declared = [(parameter.name, None, parameter.line)
+                    for parameter in self.function.parameters]
+        declared.extend(_declarations(self.function.body))
+        for name, array_size, line in declared:
             if name in self.homes:
                 raise CodegenError(f"duplicate variable {name!r}", line)
-            if registers:
+            if array_size is not None:
+                self.homes[name] = ArrayHome(stack_cursor, array_size)
+                stack_cursor += 4 * array_size
+            elif registers:
                 register = registers.pop(0)
                 self.homes[name] = RegisterHome(register)
                 self.used_var_regs.add(register)
             else:
                 self.homes[name] = StackHome(stack_cursor)
                 stack_cursor += 4
-
-        for parameter in self.function.parameters:
-            place_scalar(parameter.name, parameter.line)
-
-        def walk(statements) -> None:
-            nonlocal stack_cursor
-            for stmt in statements:
-                if isinstance(stmt, ast.Declaration):
-                    if stmt.array_size is not None:
-                        if stmt.name in self.homes:
-                            raise CodegenError(
-                                f"duplicate variable {stmt.name!r}",
-                                stmt.line)
-                        self.homes[stmt.name] = ArrayHome(
-                            stack_cursor, stmt.array_size)
-                        stack_cursor += 4 * stmt.array_size
-                    else:
-                        place_scalar(stmt.name, stmt.line)
-                for attr in ("then_body", "else_body", "body"):
-                    walk(getattr(stmt, attr, []))
-                init = getattr(stmt, "init", None)
-                if isinstance(init, ast.Declaration):
-                    place_scalar(init.name, init.line)
-
-        walk(self.function.body)
         self.frame_size = stack_cursor
 
     # -- Temp management ----------------------------------------------------------------

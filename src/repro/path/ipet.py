@@ -75,7 +75,7 @@ class PathAnalysisResult:
     integral: bool                  # did the ILP confirm integrality?
     num_variables: int
     num_constraints: int
-    #: LP/ILP engine counters (pivots, presolve, B&B warm starts).
+    #: LP/ILP engine counters (pivots, presolve, B&B nodes).
     solver_stats: Optional[ILPStats] = None
 
 

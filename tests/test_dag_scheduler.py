@@ -34,6 +34,8 @@ from repro.cache.config import MachineConfig
 from repro.isa.assembler import assemble
 from repro.lang import compile_program
 from repro.wcet.ait import PHASES, analyze_wcet
+from repro.workloads.suite import (analyze_workload, get_workload,
+                                   workload_names)
 from repro.workloads.synthetic import generate_large_source
 
 SMALL_MATRIX = "fibcall,bs:full,vivu:additive,krisc5"
@@ -166,21 +168,41 @@ class TestDAGConstruction:
 
 
 class TestMemory:
+    @staticmethod
+    def warm_up():
+        """A first, small analysis imports whatever the pipeline loads
+        lazily; module set-up makes cycles of its own."""
+        analyze_wcet(compile_program(generate_large_source(
+            depth=1, fanout=2, loop_iterations=4)))
+        gc.collect()
+
     def test_finished_analysis_is_freed_by_reference_counting(self):
         # No reference cycle runs through a drained DAG (dependents are
         # build indices) or the call graph, so dropping the result
         # frees every phase artifact at once instead of whenever the
         # cycle collector next runs.
         program = compile_program(generate_large_source())
-        # A first, small analysis imports whatever the pipeline loads
-        # lazily; module set-up makes cycles of its own.
-        analyze_wcet(compile_program(generate_large_source(
-            depth=1, fanout=2, loop_iterations=4)))
-        gc.collect()
+        self.warm_up()
         gc.disable()
         try:
             result = analyze_wcet(program)
             assert result.wcet_cycles == 40425
+            del result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_compiled_workload_is_freed_by_reference_counting(self, name):
+        # Nor does one run through the compiler's AST walks or a loop
+        # forest whose loops nest (loops link only to their parent), so
+        # compiling and analyzing a suite workload leaves the cycle
+        # collector nothing either.
+        self.warm_up()
+        gc.disable()
+        try:
+            result = analyze_workload(get_workload(name))
+            assert result.wcet_cycles > 0
             del result
             assert gc.collect() == 0
         finally:

@@ -1,5 +1,7 @@
 """Tests for the simplex and branch-and-bound solvers, cross-checked
-against scipy."""
+against scipy and, for small integer programs, exhaustive enumeration."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -9,9 +11,12 @@ from hypothesis import strategies as st
 from repro.ilp import ILPStats, LinearProgram, Sense, solve_ilp, solve_lp
 
 
-def build(num_vars, objective, constraints, upper=None, integer=True):
+def build(num_vars, objective, constraints, upper=None, integer=True,
+          lower=None):
     program = LinearProgram()
     variables = [program.add_variable(f"x{i}",
+                                      lower=0.0 if lower is None
+                                      else lower[i],
                                       upper=None if upper is None
                                       else upper[i],
                                       is_integer=integer)
@@ -195,3 +200,43 @@ class TestBranchAndBound:
         assert mine.is_optimal == result.success
         if result.success:
             assert mine.objective == pytest.approx(-result.fun, abs=1e-6)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_ilps_match_enumeration(self, data):
+        # Mixed-sense rows over shifted integer boxes, some with
+        # half-integer right-hand sides: the cases a single <= row with
+        # positive coefficients and zero lower bounds never draws.
+        num_vars = data.draw(st.integers(1, 4))
+        coeff = st.integers(-4, 4)
+        objective = [data.draw(coeff) for _ in range(num_vars)]
+        lower = [data.draw(st.integers(0, 2)) for _ in range(num_vars)]
+        upper = [lo + data.draw(st.integers(0, 5)) for lo in lower]
+        rows = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            row = [data.draw(coeff) for _ in range(num_vars)]
+            sense = data.draw(st.sampled_from(list(Sense)))
+            rhs = data.draw(st.integers(-20, 20)) / 2
+            rows.append((row, sense, rhs))
+
+        mine = solve_ilp(build(num_vars, objective, rows, upper=upper,
+                               lower=lower))
+
+        def satisfies(point, row, sense, rhs):
+            lhs = sum(a * x for a, x in zip(row, point))
+            return (lhs <= rhs if sense is Sense.LE
+                    else lhs >= rhs if sense is Sense.GE else lhs == rhs)
+
+        feasible = [point for point in itertools.product(
+                        *(range(lo, hi + 1) for lo, hi in zip(lower, upper)))
+                    if all(satisfies(point, *row) for row in rows)]
+        if not feasible:
+            assert mine.status == "infeasible"
+            return
+        best = max(sum(c * x for c, x in zip(objective, point))
+                   for point in feasible)
+        assert mine.is_optimal
+        assert mine.objective == pytest.approx(best, abs=1e-6)
+        assert mine.is_integral()
+        assert all(satisfies([mine.values[i] for i in range(num_vars)],
+                             *row) for row in rows)

@@ -9,7 +9,8 @@ inverse, presolve unit tests, and the solver-stats plumbing of path
 analysis.
 """
 
-import numpy as np
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,20 +161,6 @@ class TestDegenerateRegression:
         assert stats.bland_pivots > 0
 
 
-def node_program(simplex):
-    """The LP a solver instance currently solves, over presolved
-    columns with its own (possibly branched) bounds."""
-    core = simplex.core
-    n = core.n_struct
-    lower = simplex.lower[:n] + core.shift
-    upper = simplex.upper[:n] + core.shift
-    rows = [([coeffs.get(j, 0.0) for j in range(n)], sense, rhs)
-            for coeffs, sense, rhs in core.pre.rows]
-    return build(n, core.pre.objective, rows, lower=lower,
-                 upper=[None if np.isinf(u) else u for u in upper],
-                 integer=False)
-
-
 def perturb_inverse(simplex):
     """Scale the basis inverse off by one part in a million: pivot
     choices stay the same, but every step it takes drifts ``A x``."""
@@ -208,38 +195,6 @@ class TestResidualRefactorization:
         assert stats.refactorizations >= 1
         assert solution.objective == pytest.approx(
             solve_lp_dense(program).objective, abs=1e-9)
-
-    def test_warm_started_node_refactors_a_drifted_inverse(
-            self, monkeypatch):
-        reoptimize = RevisedSimplex.reoptimize_dual
-        nodes = []
-
-        def perturb_then_reoptimize(simplex, *args, **kwargs):
-            perturb_inverse(simplex)
-            status = reoptimize(simplex, *args, **kwargs)
-            objective = float(simplex.core.pre.objective
-                              @ simplex.structural_values())
-            nodes.append((status, objective, node_program(simplex)))
-            return status
-
-        monkeypatch.setattr(RevisedSimplex, "reoptimize_dual",
-                            perturb_then_reoptimize)
-        # max 5x + 4y: relaxation (3, 1.5) = 21, integer optimum 20.
-        program = build(2, [5, 4], [
-            ([6, 4], Sense.LE, 24),
-            ([1, 2], Sense.LE, 6),
-        ])
-        stats = ILPStats()
-        solution = solve_ilp(program, stats=stats)
-        assert stats.warm_start_hits >= 1 and stats.dual_pivots >= 1
-        assert stats.refactorizations >= stats.warm_start_hits
-        assert solution.objective == pytest.approx(20, abs=1e-9)
-        for status, objective, lp in nodes:
-            dense = solve_lp_dense(lp)
-            assert status == dense.status
-            if dense.is_optimal:
-                assert objective == pytest.approx(dense.objective,
-                                                  abs=1e-9)
 
 
 class TestPresolve:
@@ -291,8 +246,9 @@ class TestPresolve:
         assert solve_lp(program).status == "infeasible"
 
     def test_integral_mode_rounds_bounds(self):
-        # max x st 2x <= 5: LP optimum 2.5, ILP optimum 2; both reached
-        # purely in presolve.
+        # max x st 2x <= 5: presolve turns the row into the bound
+        # x <= 2.5, the LP optimum; branching on x reaches the ILP
+        # optimum 2.
         program = build(1, [1], [([2], Sense.LE, 5)], upper=[9])
         relaxed = solve_lp(program)
         assert relaxed.objective == pytest.approx(2.5)
@@ -300,21 +256,24 @@ class TestPresolve:
         assert solution.objective == pytest.approx(2)
 
 
-class TestWarmStartedBranchAndBound:
-    def test_branching_warm_starts_from_parent_basis(self):
-        # Fractional relaxation across two knapsack rows: needs real
-        # branching, and every non-root node should warm start.
-        program = build(3, [5, 4, 3], [
-            ([2, 3, 1], Sense.LE, 5),
-            ([4, 1, 2], Sense.LE, 11),
-        ], upper=[3, 3, 3])
+class TestBranchAndBoundNodes:
+    def test_branching_solves_every_node_as_an_lp(self):
+        # max 5x + 4y: relaxation (3, 1.5) = 21 needs real branching,
+        # and every node is a plain two-phase LP solve.
+        rows = [([6, 4], 24), ([1, 2], 6)]
+        program = build(2, [5, 4],
+                        [(row, Sense.LE, rhs) for row, rhs in rows])
         stats = ILPStats()
         solution = solve_ilp(program, stats=stats)
         assert solution.is_optimal
         assert solution.is_integral()
-        if stats.bb_nodes > 1:
-            assert stats.warm_start_hits + stats.cold_solves \
-                >= stats.bb_nodes
+        assert stats.bb_nodes > 1
+        assert stats.pivots == stats.phase1_pivots + stats.phase2_pivots
+        best = max(5 * x + 4 * y
+                   for x, y in itertools.product(range(7), repeat=2)
+                   if all(a * x + b * y <= rhs for (a, b), rhs in rows))
+        assert best == 20
+        assert solution.objective == pytest.approx(best)
 
     def test_node_budget_still_enforced(self):
         program = build(2, [1, 1], [([2, 2], Sense.LE, 5)])
@@ -330,8 +289,7 @@ class TestSolverStatsPlumbing:
         assert stats.pivots > 0
         assert stats.presolve_rows_removed > 0
         assert stats.bb_nodes == 0      # IPET relaxations are integral
-        assert stats.pivots == stats.phase1_pivots + stats.phase2_pivots \
-            + stats.dual_pivots
+        assert stats.pivots == stats.phase1_pivots + stats.phase2_pivots
         # The program is the plain IPET one: a count per node and edge
         # (presolve, not path analysis, does the reducing).
         assert result.path.num_variables >= \

@@ -106,8 +106,8 @@ def assert_natural_loop_forest(entry, succs, forest):
                        default=None)
         assert loop.parent is smallest
         assert loop.depth == len(enclosing) + 1
-        assert loop.children == [child for child in forest
-                                 if child.parent is loop]
+        assert forest.is_innermost(loop) == (
+            not any(inner.parent is loop for inner in forest))
         back_edges.update(loop.back_edges)
 
     # Loops in the order their first latch appears in postorder.
