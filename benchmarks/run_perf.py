@@ -16,6 +16,10 @@ may regress past the last recorded run.  Two guards keep the value
 phase from scaling with code size: seconds per value transfer on the
 depth-7 synthetic program within a fixed ratio of the depth-5 (large)
 point, and a size cap on the large point's pickled value artifact.
+One cold in-process sweep of the example task sets records the
+response-time analysis: its seconds, its UCB/ECB footprint
+computations (guarded: one per workload and cache geometry) and its
+WCET-phase misses.
 
 Usage::
 
@@ -49,6 +53,10 @@ from repro.analysis.state import (AbstractMemory,  # noqa: E402
                                   AbstractState)
 from repro.batch import (clear_process_caches,         # noqa: E402
                          compare_rows, load_golden)
+from repro.batch.cachestore import ArtifactCache       # noqa: E402
+from repro.rta import response                          # noqa: E402
+from repro.rta.sweep import sweep_taskset               # noqa: E402
+from repro.workloads.tasksets import example_tasksets  # noqa: E402
 from repro.workloads.suite import sweep_suite          # noqa: E402
 from repro.cfg import (VIVU, FullCallString,       # noqa: E402
                        KLimitedCallString, build_cfg, expand_task)
@@ -63,14 +71,14 @@ QUICK_STAGES = (1, 4)
 #: work is judged by deterministic counts, which catch a regression that
 #: a noisy wall clock cannot: the path LP takes 706 pivots and never
 #: drifts far enough to refactorize, and the value phase does 2760
-#: transfers and 3342 joins under either domain implementation (each
+#: transfers and 3184 joins under either domain implementation (each
 #: budget leaves ~12% headroom).  The whole analysis must also finish
 #: well inside interactive time (a coarse wall-clock backstop).
 LARGE_TOTAL_BUDGET_SECONDS = 5.0
 LARGE_MAX_PIVOTS = 800
 LARGE_MAX_REFACTORIZATIONS = 1
 LARGE_MAX_VALUE_TRANSFERS = 3100
-LARGE_MAX_VALUE_JOINS = 3750
+LARGE_MAX_VALUE_JOINS = 3575
 
 #: Value-phase scaling guards.  Each state keeps only its data and
 #: stack words; the code image is one read-only layer per analysis.  If
@@ -86,6 +94,14 @@ VALUE_SCALING_DEPTHS = (5, 7)
 VALUE_SCALING_REPEAT = 3
 VALUE_SCALING_MAX_RATIO = 1.3
 LARGE_MAX_VALUE_ARTIFACT_BYTES = 2_000_000
+
+#: Response-time sweep guard.  A cold sweep of the five example task
+#: sets over every ordering and cache geometry (45 cells, 117 task
+#: analyses) needs one UCB/ECB footprint per distinct (workload,
+#: geometry) pair: 15.  The footprint is a phase of each task's plan,
+#: so the sweep's store serves every other cell; a count above 15
+#: means it is computed per cell again (117 when it was).
+RTA_MAX_FOOTPRINTS = 15
 
 #: Timing models measured per point (per-model WCET + phase wall clock).
 MODELS = ("additive", "krisc5")
@@ -324,6 +340,45 @@ def measure_value_scaling() -> Dict:
                            / small["ms_per_transfer"], 3)}
 
 
+def measure_rta_sweep(repeat: int) -> Dict:
+    """Best-of-N seconds of one cold in-process sweep of the example
+    task sets (a fresh store and cleared process memos each time), and
+    the footprint computations and WCET-phase store misses one such
+    sweep makes."""
+    tasksets = example_tasksets()
+    original = response.footprint_of
+    footprints = 0
+
+    def counted(*args, **kwargs):
+        nonlocal footprints
+        footprints += 1
+        return original(*args, **kwargs)
+
+    response.footprint_of = counted
+    best = None
+    try:
+        for _ in range(repeat):
+            clear_process_caches()
+            cache = ArtifactCache()
+            footprints = 0
+            start = time.perf_counter()
+            rows = [row for taskset in tasksets
+                    for row in sweep_taskset(taskset, cache=cache)]
+            seconds = time.perf_counter() - start
+            best = seconds if best is None else min(best, seconds)
+    finally:
+        response.footprint_of = original
+        clear_process_caches()
+    return {
+        "tasksets": len(tasksets),
+        "cells": len(rows),
+        "best_seconds": round(best, 4),
+        "footprints": footprints,
+        # Every footprint computation is one store miss of its own.
+        "wcet_phase_misses": cache.misses - footprints,
+    }
+
+
 def measure_batch_sweep(quick: bool) -> Dict:
     """Drive the workload matrix through the batch engine three ways —
     cold sequential, warm sequential, cold parallel — and record wall
@@ -469,6 +524,13 @@ def main(argv=None) -> int:
         + f" (ratio {scaling['ratio']:.2f}, "
           f"guard {VALUE_SCALING_MAX_RATIO})")
 
+    rta = measure_rta_sweep(repeat)
+    print(f"rta sweep ({rta['tasksets']} task sets, {rta['cells']} "
+          f"cells): {rta['best_seconds'] * 1000:.0f} ms, "
+          f"{rta['footprints']} footprints "
+          f"(budget {RTA_MAX_FOOTPRINTS}), "
+          f"{rta['wcet_phase_misses']} WCET-phase misses")
+
     batch = measure_batch_sweep(args.quick)
     print(f"\nbatch sweep ({batch['jobs']} jobs, {batch['matrix']}): "
           f"cold {batch['cold_seconds']:.2f}s, "
@@ -515,6 +577,10 @@ def main(argv=None) -> int:
             f"{VALUE_SCALING_DEPTHS[1]} are {scaling['ratio']:.2f}x those "
             f"at depth {VALUE_SCALING_DEPTHS[0]} "
             f"(guard {VALUE_SCALING_MAX_RATIO}x)")
+    if rta["footprints"] > RTA_MAX_FOOTPRINTS:
+        failures.append(
+            f"rta sweep computed {rta['footprints']} footprints "
+            f"> budget {RTA_MAX_FOOTPRINTS}")
     if large["value_artifact_bytes"] > LARGE_MAX_VALUE_ARTIFACT_BYTES:
         failures.append(
             f"large point pickled value artifact takes "
@@ -590,6 +656,7 @@ def main(argv=None) -> int:
         "quick": args.quick,
         "points": points,
         "value_scaling": scaling,
+        "rta_sweep": rta,
         "batch": batch,
         "ok": not failures,
     }

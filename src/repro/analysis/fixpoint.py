@@ -293,13 +293,22 @@ class FixpointKernel:
 
         Because out-states are cached by entry-state version, a pass
         only pays transfers for nodes whose predecessors actually
-        changed — the historical per-edge recomputation is gone.
+        changed — the historical per-edge recomputation is gone.  A
+        node whose own version and whose predecessors' versions are
+        those of its last evaluation is skipped: its inputs are the
+        same, and narrowing is idempotent (``narrow(narrow(a, b), b) ==
+        narrow(a, b)``), so evaluating it again would change nothing.
+        ``entry_inputs`` must return the same states on every pass.
         """
         if self._predecessor_edges is None or self._edge_source is None:
             raise ValueError("narrowing requires predecessor access")
         semantics = self.semantics
+        versions = self._versions
         if order is None:
             order = self.wto.linear_order()
+        # Per node: its predecessors' versions at its last evaluation,
+        # and its own version after it.
+        evaluated: Dict[Any, Tuple[Tuple[int, ...], int]] = {}
         effective = 0
         for _ in range(passes):
             changed = False
@@ -307,8 +316,13 @@ class FixpointKernel:
                 current = self._entries.get(node)
                 if current is None:
                     continue
+                edges = list(self._predecessor_edges(node))
+                inputs = tuple(versions.get(self._edge_source(edge), 0)
+                               for edge in edges)
+                if evaluated.get(node) == (inputs, versions.get(node, 0)):
+                    continue
                 incoming = list(entry_inputs(node))
-                for edge in self._predecessor_edges(node):
+                for edge in edges:
                     out = self.out_state(self._edge_source(edge))
                     if out is None:
                         continue
@@ -330,6 +344,7 @@ class FixpointKernel:
                     self._entries[node] = narrowed
                     self._bump(node)
                     changed = True
+                evaluated[node] = (inputs, versions.get(node, 0))
             if not changed:
                 break
             effective += 1

@@ -10,7 +10,8 @@ variable's bounds to either side of its fractional value.  Every node,
 the root included, is one plain :func:`~repro.ilp.simplex.solve_lp` of
 the program with the branched variables' bounds tightened (presolve,
 cold two-phase revised simplex, postsolve), so there is one LP engine
-and nothing carries from node to node.  Integrality is checked on the
+and nothing carries from node to node; a caller that already solved
+the relaxation hands it in as the root.  Integrality is checked on the
 full postsolved solution, variables that presolve eliminated included.
 """
 
@@ -31,14 +32,17 @@ _Bounds = Dict[int, Tuple[float, Optional[float]]]
 
 
 def solve_ilp(program: LinearProgram, max_nodes: int = 10_000,
-              stats: Optional[ILPStats] = None) -> Solution:
+              stats: Optional[ILPStats] = None,
+              root: Optional[Solution] = None) -> Solution:
     """Maximise ``program`` with integrality on its integer variables.
 
     Depth-first branch and bound with best-bound pruning; the nodes it
-    explores are counted in ``stats.bb_nodes``.  Raises
-    ``RuntimeError`` if more than ``max_nodes`` nodes are needed
-    (callers can then fall back to the relaxation bound, which is
-    sound for WCET).
+    explores are counted in ``stats.bb_nodes``.  ``root`` is the
+    caller's :func:`~repro.ilp.simplex.solve_lp` solution of
+    ``program`` itself, which the root node then takes instead of
+    solving it again.  Raises ``RuntimeError`` if more than
+    ``max_nodes`` nodes are needed (callers can then fall back to the
+    relaxation bound, which is sound for WCET).
     """
     stats = stats if stats is not None else ILPStats()
     incumbent: Optional[Solution] = None
@@ -52,7 +56,10 @@ def solve_ilp(program: LinearProgram, max_nodes: int = 10_000,
         if nodes > max_nodes:
             raise RuntimeError("branch-and-bound node budget exhausted")
 
-        relaxation = solve_lp(_with_bounds(program, bounds), stats)
+        if root is not None:
+            relaxation, root = root, None
+        else:
+            relaxation = solve_lp(_with_bounds(program, bounds), stats)
         if relaxation.status == "unbounded":
             # Only the root can be: a child restricts a bounded LP.
             return relaxation

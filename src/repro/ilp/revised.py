@@ -174,9 +174,6 @@ class RevisedSimplex:
         """Structural solution in original space."""
         return self.values()[:self.core.n_struct] + self.core.shift
 
-    def objective(self) -> float:
-        return float(self.core.c @ self.values())
-
     def _duals(self, c: np.ndarray) -> np.ndarray:
         """``c_B B^-1``, summed over the rows with a nonzero basic cost."""
         cB = c[self.basis]

@@ -106,7 +106,7 @@ class PathAnalysis:
         solution = relaxation
         integral = relaxation.is_integral()
         if integer and not integral:
-            solution = solve_ilp(program, stats=stats)
+            solution = solve_ilp(program, stats=stats, root=relaxation)
             integral = True
 
         path = WorstCasePath(_counts(solution, node_vars),

@@ -8,8 +8,9 @@ composes those bounds into system-level schedulability verdicts:
   jitter, OSEK preemption thresholds, workload bindings);
 * :mod:`repro.rta.ucb` — useful/evicting cache blocks from the
   existing must/may cache fixpoint, giving per-pair CRPD bounds;
-* :mod:`repro.rta.response` — the jitter-aware response-time
-  recurrence solved on the shared WTO fixpoint kernel;
+* :mod:`repro.rta.response` — each task's footprint, a stored phase
+  of its plan, and the jitter-aware response-time recurrence solved on
+  the shared WTO fixpoint kernel;
 * :mod:`repro.rta.oracle` — preemptive-simulation checks (S7/S8);
 * :mod:`repro.rta.sweep` — ordering × geometry schedulability sweeps
   with golden verdicts.
@@ -17,12 +18,11 @@ composes those bounds into system-level schedulability verdicts:
 
 from .oracle import verify_taskset
 from .response import (RTAResult, TaskResponse, analyze_taskset,
-                       response_times, solve_recurrence)
+                       footprint_of, response_times, solve_recurrence)
 from .taskset import (ORDERINGS, RTTask, TaskSet, can_preempt,
                       load_taskset, parse_taskset)
 from .ucb import (CacheUCB, TaskFootprint, analyze_ucb, crpd_cycles,
-                  crpd_extra_misses, extra_miss_bound, footprint_of,
-                  full_refill_cycles)
+                  crpd_extra_misses, extra_miss_bound, full_refill_cycles)
 
 __all__ = [
     "ORDERINGS", "RTTask", "TaskSet", "can_preempt", "load_taskset",

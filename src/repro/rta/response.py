@@ -15,11 +15,15 @@ in this repo runs on: a single self-loop node whose transfer *is* the
 recurrence.  Saturation makes divergence (utilization > 1) terminate
 in the "unschedulable" verdict instead of iterating forever.
 
-Per-task WCETs (``C_i``) come from the ordinary phase pipeline through
-a shared :class:`~repro.batch.cachestore.ArtifactCache`, so a task set
-over N tasks costs N cached single-task analyses — tasks binding the
-same workload, and repeated sweeps over the same set, dedup through
-the store instead of recomputing.
+Per-task WCETs (``C_i``) and UCB/ECB footprints come from the ordinary
+phase pipeline through a shared
+:class:`~repro.batch.cachestore.ArtifactCache`: the footprint is one
+more phase of each task's plan (:func:`footprint_of`, run as the
+``footprint`` phase of :func:`repro.wcet.ait.phase_plan`), so a task
+set over N tasks costs N cached single-task analyses — tasks binding
+the same workload, cells of a sweep that share a cache geometry, and
+repeated sweeps over the same set, dedup through the store instead of
+recomputing.
 """
 
 from __future__ import annotations
@@ -28,10 +32,30 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..analysis.fixpoint import FixpointKernel, FixpointSemantics
-from ..cache.config import MachineConfig
+from ..analysis.valueanalysis import ValueAnalysisResult
+from ..cache.analysis import dcache_access_specs, icache_access_specs
+from ..cache.config import CacheConfig, MachineConfig
+from ..cfg.expand import TaskGraph
+from ..wcet.ait import PHASES
 from .taskset import RTTask, TaskSet
-from .ucb import (TaskFootprint, crpd_cycles, crpd_extra_misses,
-                  footprint_of, full_refill_cycles)
+from .ucb import (TaskFootprint, analyze_ucb, crpd_cycles,
+                  crpd_extra_misses, full_refill_cycles)
+
+#: The phases of a task's plan: the WCET pipeline, then the footprint.
+RTA_PHASES = PHASES + ("footprint",)
+
+
+def footprint_of(graph: TaskGraph, values: ValueAnalysisResult,
+                 icache: CacheConfig, dcache: CacheConfig
+                 ) -> TaskFootprint:
+    """A task's UCB/ECB footprint over both caches, derived from the
+    artifacts its single-task bound used: the expanded task graph (the
+    ``cfg`` phase) and the value analysis (the ``value`` phase)."""
+    return TaskFootprint(
+        icache=analyze_ucb(graph, icache,
+                           icache_access_specs(graph, icache)),
+        dcache=analyze_ucb(graph, dcache,
+                           dcache_access_specs(graph, dcache, values)))
 
 
 def _ceil_div(numerator: int, denominator: int) -> int:
@@ -215,11 +239,11 @@ def analyze_taskset(taskset: TaskSet,
                     cache=None) -> RTAResult:
     """Analyze a task set end to end.
 
-    Per-task WCETs are ordinary cached ``analyze_wcet`` phase products
-    (one shared ``cache`` across all tasks — pass the sweep's store to
-    dedup across jobs) of binaries compiled once per process
-    (:func:`repro.batch.dag.compiled_program`); UCB/ECB footprints
-    derive from the artifacts those analyses already carry.
+    Each task's WCET and UCB/ECB footprint are ordinary cached phase
+    products of one :data:`RTA_PHASES` plan (one shared ``cache`` across
+    all tasks — pass the sweep's store to dedup across jobs) of binaries
+    compiled once per process
+    (:func:`repro.batch.dag.compiled_program`).
     """
     from ..batch.cachestore import ArtifactCache
     from ..batch.dag import compiled_program
@@ -231,19 +255,14 @@ def analyze_taskset(taskset: TaskSet,
     hits0, misses0 = cache.hits, cache.misses
 
     details: Dict[str, TaskAnalysis] = {}
-    footprints: Dict[str, TaskFootprint] = {}
     for task in taskset.tasks:
         workload = get_workload(task.workload)
         program, _ = compiled_program(workload)
-        wcet = analyze_workload(workload, config=config,
-                                program=program, phase_cache=cache)
-        footprint = footprints.get(task.workload)
-        if footprint is None:
-            footprint = footprint_of(wcet)
-            footprints[task.workload] = footprint
+        wcet = analyze_workload(workload, config=config, program=program,
+                                phase_cache=cache, phases=RTA_PHASES)
         details[task.name] = TaskAnalysis(
             task=task, program=program, wcet=wcet,
-            footprint=footprint)
+            footprint=wcet.footprint)
 
     wcet_cycles = {name: analysis.wcet.wcet_cycles
                    for name, analysis in details.items()}

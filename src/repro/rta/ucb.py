@@ -40,8 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..cache.analysis import (AccessSpec, CacheFixpoint,
-                              dcache_access_specs, icache_access_specs)
+from ..cache.analysis import AccessSpec, CacheFixpoint
 from ..cache.config import CacheConfig
 from ..cfg.expand import NodeId, TaskGraph
 
@@ -227,21 +226,6 @@ class TaskFootprint:
 
     icache: CacheUCB
     dcache: CacheUCB
-
-
-def footprint_of(result) -> TaskFootprint:
-    """Derive a task's cache footprint from its (cached) WCET analysis
-    artifacts — the same graph, value analysis, and cache configs the
-    single-task bound used."""
-    graph = result.graph
-    i_config = result.icache.config
-    d_config = result.dcache.config
-    return TaskFootprint(
-        icache=analyze_ucb(graph, i_config,
-                           icache_access_specs(graph, i_config)),
-        dcache=analyze_ucb(graph, d_config,
-                           dcache_access_specs(graph, d_config,
-                                               result.values)))
 
 
 def crpd_extra_misses(victim: TaskFootprint, preemptor: TaskFootprint

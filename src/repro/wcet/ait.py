@@ -74,6 +74,9 @@ class WCETResult:
     #: Per-phase ``cProfile.Profile`` objects when the analysis ran
     #: with ``profile=True`` (``repro wcet --profile``).
     profiles: Dict[str, object] = field(default_factory=dict)
+    #: The task's UCB/ECB footprint (:class:`repro.rta.ucb.TaskFootprint`)
+    #: when its plan ran the ``footprint`` phase, as ``repro rta``'s do.
+    footprint: Optional[Any] = None
 
     @property
     def wcet_cycles(self) -> int:
@@ -120,7 +123,9 @@ class WCETResult:
 # -- Named analysis phases ------------------------------------------------------
 
 #: The aiT pipeline's phases in execution order.  Every phase is one
-#: :class:`PhaseTask` descriptor built by :func:`phase_plan`.
+#: :class:`PhaseTask` descriptor built by :func:`phase_plan`, which also
+#: builds the ``footprint`` phase that only ``repro rta``'s plans name
+#: (:data:`repro.rta.response.RTA_PHASES`).
 PHASES = ("cfg", "value", "loopbounds", "icache", "dcache", "pipeline",
           "path")
 
@@ -198,7 +203,8 @@ def phase_plan(program: Program,
                memory_ranges: Optional[Dict[int, Tuple[int, int]]] = None,
                domain_impl: Optional[str] = None) -> List[PhaseTask]:
     """Build the full pipeline as a list of :class:`PhaseTask`
-    descriptors in execution order, without running anything.
+    descriptors in execution order, without running anything, followed
+    by the ``footprint`` phase, which only plans that name it run.
 
     Parameters mirror :func:`analyze_wcet` exactly.  Each task's
     material spells the parameters its phase reads.  The batch layer
@@ -251,6 +257,15 @@ def phase_plan(program: Program,
         return analyze_paths(graph, deps["pipeline"],
                              deps["loopbounds"], deps["value"],
                              use_infeasible_paths, integer)
+
+    def compute_footprint(deps):
+        # The rta layer sits above this one, so it is imported when the
+        # phase runs.  footprint_of is read off the module at each call,
+        # so a wrapper installed there (perfbench's tracer) sees it.
+        from ..rta import response
+        _, graph = deps["cfg"]
+        return response.footprint_of(graph, deps["value"], config.icache,
+                                     config.dcache)
 
     program_slice = program.reachable_slice(entry, indirect_targets)
     return [
@@ -305,6 +320,15 @@ def phase_plan(program: Program,
             "path", ("cfg", "pipeline", "loopbounds", "value"),
             f"path|infeasible={use_infeasible_paths}|integer={integer}",
             compute_path),
+        # The UCB/ECB footprint of response-time analysis reads only the
+        # task graph, the value analysis and both cache geometries, so a
+        # shared store holds one per (program, geometry) whatever else a
+        # task-set cell varies.
+        PhaseTask(
+            "footprint", ("cfg", "value"),
+            f"footprint|{_cache_config_material(config.icache)}"
+            f"|{_cache_config_material(config.dcache)}",
+            compute_footprint),
     ]
 
 

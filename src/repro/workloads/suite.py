@@ -234,7 +234,9 @@ def analyze_workload(workload: Workload,
     threads a content-addressed artifact cache (:mod:`repro.batch`)
     through both the annotation-discovery prefix and the main analysis,
     which run as one job on the batch layer's DAG executor and share a
-    task wherever their keys coincide.
+    task wherever their keys coincide.  ``phases`` naming
+    ``"footprint"`` runs that phase in the same job, and the result
+    carries its artifact as :attr:`WCETResult.footprint`.
     """
     from ..batch.dag import JobPlan
     from ..batch.scheduler import run_plans
@@ -242,7 +244,11 @@ def analyze_workload(workload: Workload,
     program = program or workload.compile()
     plan = JobPlan(program, workload, config=config, manual_loop_bounds={},
                    memory_ranges=workload.memory_ranges(program), **kwargs)
-    return run_plans([plan], store=phase_cache)[1].artifact(0, "row")
+    sweep = run_plans([plan], store=phase_cache)[1]
+    result = sweep.artifact(0, "row")
+    if "footprint" in plan.templates:
+        result.footprint = sweep.artifact(0, "footprint")
+    return result
 
 
 def sweep_suite(matrix: str = "all:all:all",

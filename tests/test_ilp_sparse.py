@@ -10,6 +10,7 @@ analysis.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 
 from repro.ilp import (ILPStats, LinearProgram, Sense, presolve,
                        solve_ilp, solve_lp, solve_lp_dense)
+from repro.ilp import branchbound, simplex
 from repro.ilp.revised import RevisedSimplex
+from repro.path import ipet
 from repro.path.ipet import PathAnalysis
 from repro.workloads.suite import (WORKLOADS, analyze_workload,
                                    get_workload, workload_names)
@@ -274,6 +277,33 @@ class TestBranchAndBoundNodes:
                    if all(a * x + b * y <= rhs for (a, b), rhs in rows))
         assert best == 20
         assert solution.objective == pytest.approx(best)
+
+    def test_path_analysis_solves_the_root_once(self, monkeypatch):
+        # Path analysis hands its fractional relaxation to branch and
+        # bound as the root node: one solve_lp per node, none twice.
+        rows = [([6, 4], 24), ([1, 2], 6)]
+        program = build(2, [5, 4],
+                        [(row, Sense.LE, rhs) for row, rhs in rows])
+        x, y = program.variables
+        timing = SimpleNamespace(block_cost={"x": 5, "y": 4}.__getitem__,
+                                 edges={}, onetime_cost=lambda node: 0)
+        analysis = PathAnalysis(None, timing, {}, None)
+        analysis._build_program = lambda: (program, {"x": x, "y": y}, {})
+        solved = []
+
+        def counted(node_program, *args, **kwargs):
+            solution = simplex.solve_lp(node_program, *args, **kwargs)
+            solved.append(solution.objective)
+            return solution
+
+        monkeypatch.setattr(ipet, "solve_lp", counted)
+        monkeypatch.setattr(branchbound, "solve_lp", counted)
+        result = analysis.solve()
+        assert result.lp_bound == pytest.approx(21)
+        assert result.wcet_cycles == 20 and result.integral
+        assert result.solver_stats.bb_nodes > 1
+        assert len(solved) == result.solver_stats.bb_nodes
+        assert solved.count(pytest.approx(21)) == 1
 
     def test_node_budget_still_enforced(self):
         program = build(2, [1, 1], [([2, 2], Sense.LE, 5)])

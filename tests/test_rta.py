@@ -15,8 +15,8 @@ from repro.isa import DATA_BASE, assemble
 from repro.rta import (CacheUCB, ORDERINGS, RTTask, TaskSet, analyze_taskset,
                        can_preempt, crpd_extra_misses, extra_miss_bound,
                        footprint_of, full_refill_cycles, load_taskset,
-                       parse_taskset, response_times, solve_recurrence,
-                       verify_taskset)
+                       parse_taskset, response, response_times,
+                       solve_recurrence, verify_taskset)
 from repro.rta.sweep import (GEOMETRIES, compare_with_golden, config_for,
                              load_golden, parse_geometry, rows_to_golden,
                              save_golden, sweep_taskset)
@@ -222,7 +222,10 @@ buf: .word 1
 
 def footprint(source, config=None):
     program = assemble(source)
-    return program, footprint_of(analyze_wcet(program, config=config))
+    result = analyze_wcet(program, config=config)
+    return program, footprint_of(result.graph, result.values,
+                                 result.config.icache,
+                                 result.config.dcache)
 
 
 class TestUCBAnalysis:
@@ -595,6 +598,61 @@ class TestExampleTaskSets:
         assert again.cache_misses == 0
         assert [r.response for r in again.responses] == \
             [r.response for r in first.responses]
+
+
+class TestFootprintPhase:
+    @staticmethod
+    def sweep(cache):
+        """Every example task set x geometry x ordering cell against
+        ``cache``: (geometry, RTAResult) per cell."""
+        cells = []
+        for taskset in example_tasksets():
+            for geometry in GEOMETRIES:
+                config = config_for(geometry)
+                for ordering in ORDERINGS:
+                    cells.append((geometry, analyze_taskset(
+                        taskset.reordered(ordering), config=config,
+                        cache=cache)))
+        return cells
+
+    def test_one_footprint_per_workload_and_geometry(self, monkeypatch):
+        # 45 cells analyze 117 tasks over 15 distinct (workload,
+        # geometry) pairs; the store serves every footprint but the
+        # first of each pair.
+        original = response.footprint_of
+        computed = []
+
+        def counted(*args):
+            computed.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(response, "footprint_of", counted)
+        cache = ArtifactCache()
+        cells = self.sweep(cache)
+        tasks = [(geometry, result.config, analysis)
+                 for geometry, result in cells
+                 for analysis in result.details.values()]
+        assert len(tasks) == 117
+        assert len(computed) == 15
+        stored = {}
+        for geometry, config, analysis in tasks:
+            pair = (analysis.task.workload, geometry)
+            if pair in stored:
+                assert analysis.footprint is stored[pair]
+                continue
+            wcet = analysis.wcet
+            fresh = original(wcet.graph, wcet.values, config.icache,
+                             config.dcache)
+            assert analysis.footprint == fresh
+            stored[pair] = analysis.footprint
+        assert len(stored) == 15
+
+        computed.clear()
+        again = self.sweep(cache)
+        assert computed == []
+        assert all(result.cache_misses == 0 for _, result in again)
+        assert [result.rows() for _, result in again] == \
+            [result.rows() for _, result in cells]
 
 
 # ---------------------------------------------------------------------------

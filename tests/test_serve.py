@@ -2,7 +2,10 @@
 and the function-grained slice keys that make re-analysis incremental."""
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -537,3 +540,20 @@ class TestHTTP:
         assert stats["jobs"]["done"] >= 1
         assert stats["cache"]["hits"] + stats["cache"]["misses"] > 0
         assert stats["cache"]["memo"]["entries"] > 0
+
+
+def test_embedding_the_service_loads_no_http_stack():
+    # The HTTP server and client load on first use of their names, so a
+    # process that only embeds AnalysisService stays without them.
+    stack = ("http.server", "urllib.request", "ssl")
+    script = ("import sys\n"
+              "from repro.serve import AnalysisService\n"
+              f"print([name for name in {stack!r} if name in sys.modules])")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"

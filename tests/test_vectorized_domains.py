@@ -304,6 +304,44 @@ def test_vector_memory_lattice_parity(block_a, block_b):
     _states_match(py_a.narrow(py_b), np_a.narrow(np_b))
 
 
+def _state_key(state):
+    """Everything a state holds, flags included, in comparable form."""
+    if state.is_bottom():
+        return None
+    flags = state.flags and (state.flags.left_reg, state.flags.right_reg,
+                             _interval_key(state.flags.left),
+                             _interval_key(state.flags.right))
+    return ([_interval_key(state.get(reg)) for reg in range(16)],
+            dict(state.aliases), flags, _memory_entries(state))
+
+
+@settings(max_examples=60, deadline=None)
+@given(straight_line_blocks(), straight_line_blocks())
+def test_state_narrowing_is_idempotent(block_a, block_b):
+    """narrow(narrow(a, b), b) == narrow(a, b) under both memories, for
+    an ``a`` that covers ``b`` as the ascending result covers the joined
+    inputs in the kernel's narrowing passes: the registers, the alias
+    intersection, the flags (taken from ``b``) and every memory word.
+    The kernel skips a node whose inputs did not change on this
+    ground."""
+    instrs_a, seeds = block_a
+    instrs_b, _ = block_b
+    space = AddressSpace()
+    py_a, np_a = _paired_states(seeds, space)
+    py_b, np_b = _paired_states(seeds, space)
+    pairs = ((transfer_block(py_a, instrs_a), transfer_block(py_b, instrs_b)),
+             (compile_block(instrs_a, Interval)(np_a),
+              compile_block(instrs_b, Interval)(np_b)))
+    for a, b in pairs:
+        joined = a.join(b)
+        for upper in (joined, b.widen(joined, (-16, 0, 10, 100))):
+            assert b.leq(upper)
+            once = upper.narrow(b)
+            twice = once.narrow(b)
+            assert _state_key(twice) == _state_key(once)
+            assert once.leq(twice) and twice.leq(once)
+
+
 def test_vector_memory_copy_on_write_identity():
     """copy() shares the packed arrays until a write materializes them,
     and same_entries sees through the sharing (the identity fast path
